@@ -3,19 +3,17 @@ per diffusion timestep, trained sequentially, plus an independently-trained
 per-timestep baseline and the full evaluation protocol."""
 
 from .boosting import MeanEstimator, MeanEstimatorConfig, fit_mean_estimator, predict_mean
-from .card_t import CardTModel, sample_card_t, train_card_t
+from .card_t import sample_card_t, train_card_t
 from .data import (
     Column,
     DataError,
     Dataset,
     SplitSpec,
-    Transform,
     clf_toy_generate,
     load_csv,
     make_split,
     mcar_mask,
     save_csv,
-    standardize,
     toy_generate,
 )
 from .dbt import (
@@ -25,6 +23,7 @@ from .dbt import (
     REGRESSION,
     classify,
     encode_prototypes,
+    sample,
     sample_dbt,
     train_dbt,
 )

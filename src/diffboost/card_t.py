@@ -1,110 +1,43 @@
-"""Independently-trained per-timestep baseline.
+"""Independently-trained per-timestep baseline (the CARD-T ablation).
 
-Same schedule, tree settings, and input layout as the sequential trainer, but
-each timestep's tree is fitted in isolation to predict the forward-process
-noise draw instead of the clean response.  Timesteps share no state, so
-training order is irrelevant and the reverse chain recovers the clean
-response from the predicted noise by inverting the forward reparameterization.
+A ``"card_t"`` model has the same schedule, tree settings and input layout
+as the sequential one, but each timestep's tree is fitted in isolation to
+predict the forward-process noise draw instead of the clean response.
+Timesteps share no state, so training order is irrelevant, and the reverse
+chain recovers the clean response from the predicted noise by inverting the
+forward reparameterization.  The trainer loop and the sampler are the shared
+ones in :mod:`diffboost.dbt`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import streams
-from .boosting import MeanEstimator, MeanEstimatorConfig
+from .boosting import MeanEstimatorConfig
 from .data import Dataset
-from .dbt import DbtConfig, _TrainingSetup, _encode_rows, _reverse_chain
-from .schedule import NoiseSchedule, build_linear_schedule, forward_sample, y0_from_noise
-from .tree import fit_tree, predict_tree
+from .dbt import CARD_T, DbtConfig, DbtModel, _sample_kind, _train
+from .schedule import NoiseSchedule
 
-__all__ = ["CardTModel", "train_card_t", "sample_card_t"]
-
-
-@dataclass(frozen=True)
-class CardTModel:
-    """Per-timestep noise-predicting trees plus the shared diffusion pieces."""
-    schedule: NoiseSchedule
-    mean_est: MeanEstimator
-    step_trees: tuple
-    config: DbtConfig
-    mean_config: MeanEstimatorConfig
-    columns: tuple
-    response_name: str
-    target_standardization: Optional[tuple] = None
-    train_positive_rate: Optional[float] = None
-    train_log: tuple = ()
-
-    def __post_init__(self):
-        if len(self.step_trees) != self.config.T:
-            raise ValueError("need exactly one tree per timestep")
-
-    @property
-    def kind(self) -> str:
-        return "card_t"
+__all__ = ["train_card_t", "sample_card_t"]
 
 
 def train_card_t(train: Dataset, config: DbtConfig = DbtConfig(),
                  mean_config: Optional[MeanEstimatorConfig] = None,
                  schedule: Optional[NoiseSchedule] = None,
-                 timestep_order: Optional[Sequence[int]] = None) -> CardTModel:
-    """Fit each timestep's tree on (noisy response -> forward noise) pairs.
+                 timestep_order: Optional[Sequence[int]] = None) -> DbtModel:
+    """Fit a ``"card_t"`` model on (noisy response -> forward noise) pairs.
 
     Each timestep draws its own noise from a stream keyed by (seed, t), so any
     ``timestep_order`` (default T down to 1) produces a bit-identical model;
     the parameter exists because nothing couples the timesteps.
     """
-    sched = schedule if schedule is not None else build_linear_schedule(
-        config.T, config.beta_start, config.beta_end)
-    if sched.T != config.T:
-        raise ValueError(f"schedule has T={sched.T}, config expects {config.T}")
-    order = list(timestep_order) if timestep_order is not None else list(range(config.T, 0, -1))
-    if sorted(order) != list(range(1, config.T + 1)):
-        raise ValueError("timestep_order must be a permutation of 1..T")
-    setup = _TrainingSetup(train, config, mean_config)
-
-    trees: list = [None] * (config.T + 1)
-    log = {}
-    for t in order:
-        rng = streams.stream(config.seed, streams.DOMAIN_CARD_T_TRAIN, t)
-        eps = rng.standard_normal(setup.m)
-        setup.Z[:, 0] = forward_sample(sched, setup.y0_rep, setup.mu_rep, t, eps)
-        tree = fit_tree(setup.Z, eps, setup.kinds_z, config.tree_params,
-                        presorted=setup.presorted)
-        trees[t] = tree
-        if config.tree_params.learning_rate == 1.0:
-            sse0 = float(((eps - eps.mean()) ** 2).sum())
-            log[t] = max(sse0 - float(tree.split_gain.sum()), 0.0) / setup.m
-        else:
-            log[t] = float(((eps - predict_tree(tree, setup.Z)) ** 2).mean())
-
-    return CardTModel(
-        schedule=sched, mean_est=setup.mean_est, step_trees=tuple(trees[1:]),
-        config=config, mean_config=setup.mean_config,
-        columns=tuple(train.columns), response_name=train.response_name,
-        target_standardization=setup.standardization,
-        train_positive_rate=setup.positive_rate,
-        train_log=tuple(log[t] for t in range(config.T, 0, -1)),
-    )
+    return _train(train, config, mean_config, schedule, CARD_T, timestep_order)
 
 
-def sample_card_t(model: CardTModel, rows, s_count: int,
+def sample_card_t(model: DbtModel, rows, s_count: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Reverse chain using predicted noise: each step reconstructs the clean
-    response by inverting the forward draw, then samples the posterior."""
-    if s_count < 1:
-        raise ValueError("s_count must be >= 1")
-    X = _encode_rows(model, rows)
-
-    def predict_y0(tree, Z, mu_rep, t):
-        eps_hat = predict_tree(tree, Z)
-        return y0_from_noise(model.schedule, Z[:, 0], eps_hat, mu_rep, t)
-
-    out = _reverse_chain(model, X, s_count, rng, predict_y0)
-    if model.target_standardization is not None:
-        m, s = model.target_standardization
-        out = out * s + m
-    return out
+    """:func:`diffboost.dbt.sample` for a ``"card_t"`` model; other kinds
+    raise ``ValueError``."""
+    return _sample_kind(CARD_T, model, rows, s_count, rng)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import streams
 from .boosting import LOGISTIC, SQUARED, MeanEstimatorConfig
-from .card_t import sample_card_t, train_card_t
+from .card_t import train_card_t
 from .data import (
     DataError,
     SplitSpec,
@@ -30,7 +30,7 @@ from .data import (
     save_csv,
     toy_generate,
 )
-from .dbt import BINARY, DbtConfig, REGRESSION, classify, sample_dbt, train_dbt
+from .dbt import BINARY, DbtConfig, REGRESSION, classify, sample, train_dbt
 from .metrics import (
     deferral_report,
     format_mean_std,
@@ -135,10 +135,7 @@ def _train_one(train_ds, model_kind, dbt_cfg, mean_cfg):
 
 
 def _sample_model(model, rows, s_count, seed):
-    rng = streams.stream(seed, streams.DOMAIN_SAMPLING)
-    if model.kind == "card_t":
-        return sample_card_t(model, rows, s_count, rng)
-    return sample_dbt(model, rows, s_count, rng)
+    return sample(model, rows, s_count, streams.stream(seed, streams.DOMAIN_SAMPLING))
 
 
 def _out_stream(path):
@@ -393,7 +390,6 @@ def build_parser():
     p.add_argument("--response", help="response column name (default: last)")
     p.add_argument("--out", help="model file path")
     p.add_argument("--out-dir", help="directory for default outputs")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate response samples as CSV")

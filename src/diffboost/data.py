@@ -20,8 +20,8 @@ import numpy as np
 from .tree import CATEGORICAL, NUMERIC
 
 __all__ = [
-    "Column", "Dataset", "SplitSpec", "Transform", "DataError",
-    "load_csv", "save_csv", "make_split", "standardize", "mcar_mask",
+    "Column", "Dataset", "SplitSpec", "DataError",
+    "load_csv", "save_csv", "make_split", "mcar_mask",
     "toy_generate", "clf_toy_generate", "reencode",
     "TOY_SEGMENT_NOISE", "toy_a_segment_mean", "toy_b_boxes",
 ]
@@ -85,18 +85,6 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError("train_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Transform:
-    """Train-split statistics used to standardize features and response."""
-    feature_mean: np.ndarray
-    feature_std: np.ndarray      # NaN entries mark untouched (categorical) columns
-    response_mean: float
-    response_std: float
-
-    def invert_response(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values) * self.response_std + self.response_mean
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +287,7 @@ def reencode(ds: Dataset, columns: Sequence[Column]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# splits, standardization, masking
+# splits, masking
 
 def make_split(ds: Dataset, spec: SplitSpec):
     """Deterministic shuffled split; the first ``train_fraction`` rows train."""
@@ -309,39 +297,6 @@ def make_split(ds: Dataset, spec: SplitSpec):
     train = ds.subset(perm[:n_train], name=f"{ds.name}/train{spec.fold_index}")
     test = ds.subset(perm[n_train:], name=f"{ds.name}/test{spec.fold_index}")
     return train, test
-
-
-def standardize(train: Dataset, test: Dataset, *, include_response: bool = True):
-    """Standardize numeric features (and optionally the response) by train
-    statistics; categorical columns and missing cells are untouched.
-    Returns (train', test', Transform)."""
-    p = train.n_features
-    mean = np.full(p, np.nan)
-    std = np.full(p, np.nan)
-    new_train = train.X.copy()
-    new_test = test.X.copy()
-    for j, col in enumerate(train.columns):
-        if col.kind != NUMERIC:
-            continue
-        cells = train.X[:, j]
-        present = ~np.isnan(cells)
-        if not present.any():
-            continue
-        m = float(cells[present].mean())
-        s = max(float(cells[present].std()), 1e-8)
-        mean[j], std[j] = m, s
-        new_train[:, j] = (train.X[:, j] - m) / s
-        new_test[:, j] = (test.X[:, j] - m) / s
-    if include_response:
-        r_mean = float(train.y.mean())
-        r_std = max(float(train.y.std()), 1e-8)
-    else:
-        r_mean, r_std = 0.0, 1.0
-    tf = Transform(feature_mean=mean, feature_std=std,
-                   response_mean=r_mean, response_std=r_std)
-    train2 = replace(train, X=new_train, y=(train.y - r_mean) / r_std)
-    test2 = replace(test, X=new_test, y=(test.y - r_mean) / r_std)
-    return train2, test2, tf
 
 
 def mcar_mask(ds: Dataset, rate: float, seed: int) -> Dataset:

@@ -1,17 +1,27 @@
-"""Sequentially-trained per-timestep diffusion trees.
+"""Per-timestep diffusion trees: the sequential trainer and its CARD-T ablation.
 
-One regression tree per timestep learns to predict the clean response from
-(noisy response, covariates, mean-estimate).  Training walks timesteps from T
-down to 1; the tree fitted at t+1 produces the noisy inputs that the tree at
-t trains on, so the training-time computation graph matches the sampling-time
-one.  Sampling runs the reverse chain: draw from the prior, predict the clean
-response, draw the next noisy value from the tractable posterior, repeat.
+One regression tree per timestep reads (noisy response, covariates,
+mean-estimate).  A model's ``kind`` says what the trees learn and where
+their noisy inputs come from in training:
+
+* ``"dbt"`` (sequential): each tree predicts the clean response.  Training
+  walks timesteps from T down to 1; the tree fitted at t+1 produces the noisy
+  inputs that the tree at t trains on, so the training-time computation graph
+  matches the sampling-time one.
+* ``"card_t"`` (independent baseline, see :mod:`diffboost.card_t`): each tree
+  predicts the forward-process noise of an independent forward draw at its
+  own timestep, so timesteps share no state.
+
+Both kinds share one trainer loop and one sampler, :func:`sample`: draw from
+the prior, estimate the clean response, draw the next noisy value from the
+tractable posterior, repeat.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,19 +41,23 @@ from .schedule import (
     forward_sample,
     posterior_mean,
     posterior_sample,
+    y0_from_noise,
 )
 from .tree import CATEGORICAL, NUMERIC, TreeParams, fit_tree, predict_tree
 
 __all__ = [
-    "DbtConfig", "DbtModel", "train_dbt", "sample_dbt",
+    "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
     "encode_prototypes", "classify",
     "REGRESSION", "BINARY", "PRIOR_MEAN_ESTIMATOR", "PRIOR_ZERO",
+    "DBT", "CARD_T",
 ]
 
 REGRESSION = "regression"
 BINARY = "binary"
 PRIOR_MEAN_ESTIMATOR = "mean_estimator"
 PRIOR_ZERO = "zero"
+DBT = "dbt"
+CARD_T = "card_t"
 
 
 @dataclass(frozen=True)
@@ -79,8 +93,10 @@ class DbtModel:
     ``step_trees[t - 1]`` is the tree for timestep t; each tree consumes the
     concatenated input (noisy response, covariates, mean-estimate), so its
     schema is the feature count plus two, with the noisy response first and
-    the mean-estimate last.  ``train_log`` holds per-timestep training MSE in
-    training order (t = T down to 1).
+    the mean-estimate last.  ``kind`` is ``"dbt"`` when the trees predict the
+    clean response and ``"card_t"`` when they predict the forward noise.
+    ``train_log`` holds per-timestep training MSE against each tree's target,
+    in the order t = T down to 1.
     """
     schedule: NoiseSchedule
     mean_est: MeanEstimator
@@ -92,14 +108,13 @@ class DbtModel:
     target_standardization: Optional[tuple] = None   # (mean, std), regression only
     train_positive_rate: Optional[float] = None      # classification only
     train_log: tuple = ()
+    kind: str = DBT
 
     def __post_init__(self):
+        if self.kind not in (DBT, CARD_T):
+            raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.step_trees) != self.config.T:
             raise ValueError("need exactly one tree per timestep")
-
-    @property
-    def kind(self) -> str:
-        return "dbt"
 
 
 def encode_prototypes(labels, epsilon: float = 0.01) -> np.ndarray:
@@ -141,7 +156,7 @@ def classify(samples: np.ndarray, threshold: float = 0.5):
 
 
 class _TrainingSetup:
-    """Replicated design shared by the sequential and independent trainers."""
+    """Replicated design shared by both kinds of trainer."""
 
     def __init__(self, train: Dataset, config: DbtConfig,
                  mean_config: Optional[MeanEstimatorConfig]):
@@ -183,7 +198,6 @@ class _TrainingSetup:
         self.Z[:, -1] = np.tile(fphi, reps)
         self.y0_rep = np.tile(y0, reps)
         self.mu_rep = np.tile(mu, reps)
-        self.root_sse = float(((self.y0_rep - self.y0_rep.mean()) ** 2).sum())
         # static columns keep the same order for every timestep's tree
         self.presorted = {}
         for j in range(1, self.Z.shape[1]):
@@ -192,57 +206,93 @@ class _TrainingSetup:
             self.presorted[j] = np.argsort(self.Z[:, j], kind="stable").astype(np.int64)
 
 
-def _training_mse(tree, setup, config):
+def _dbt_step(setup, sched, trees, t, eps, rng):
+    """Chain through the tree fitted at t+1; the target is the clean response."""
+    if t == sched.T:
+        setup.Z[:, 0] = setup.mu_rep + eps
+    else:
+        y_next = forward_sample(sched, setup.y0_rep, setup.mu_rep, t + 1, eps)
+        setup.Z[:, 0] = y_next
+        y0_hat = predict_tree(trees[t + 1], setup.Z)
+        mean = posterior_mean(sched, y_next, y0_hat, setup.mu_rep, t + 1)
+        setup.Z[:, 0] = posterior_sample(sched, mean, t + 1, rng)
+    return setup.y0_rep
+
+
+def _card_t_step(setup, sched, trees, t, eps, rng):
+    """Draw the forward process at t itself; the target is its noise."""
+    setup.Z[:, 0] = forward_sample(sched, setup.y0_rep, setup.mu_rep, t, eps)
+    return eps
+
+
+# per kind: the training stream's domain tag and the step hook that fills the
+# noisy-input column and returns the regression target
+_TRAIN_STEPS = {
+    DBT: (streams.DOMAIN_DBT_TRAIN, _dbt_step),
+    CARD_T: (streams.DOMAIN_CARD_T_TRAIN, _card_t_step),
+}
+
+
+def _training_mse(tree, Z, target, config):
     # exact when the leaf learning rate is 1: leaves are means, so the fitted
     # SSE equals the root SSE minus the accumulated split gains
     if config.tree_params.learning_rate == 1.0:
-        return max(setup.root_sse - float(tree.split_gain.sum()), 0.0) / setup.m
-    resid = setup.y0_rep - predict_tree(tree, setup.Z)
-    return float((resid ** 2).mean())
+        root_sse = float(((target - target.mean()) ** 2).sum())
+        return max(root_sse - float(tree.split_gain.sum()), 0.0) / target.shape[0]
+    return float(((target - predict_tree(tree, Z)) ** 2).mean())
 
 
-def train_dbt(train: Dataset, config: DbtConfig = DbtConfig(),
-              mean_config: Optional[MeanEstimatorConfig] = None,
-              schedule: Optional[NoiseSchedule] = None) -> DbtModel:
-    """Fit the mean estimator, then one tree per timestep from T down to 1.
+def _train(train: Dataset, config: DbtConfig,
+           mean_config: Optional[MeanEstimatorConfig],
+           schedule: Optional[NoiseSchedule], kind: str,
+           order: Optional[Sequence[int]] = None) -> DbtModel:
+    """Fit the mean estimator, then one tree per timestep in ``order``
+    (default T down to 1).
 
-    At t = T the tree's noisy input column is a prior draw.  Below T, a fresh
-    forward draw at t+1 is pushed through the just-fitted tree for t+1 and the
-    posterior to produce the noisy inputs, replicating what sampling will do.
-    Every training row is replicated ``config.n_noise`` times with independent
-    noise, and each timestep regenerates its noise rather than caching one set.
+    Every training row is replicated ``config.n_noise`` times.  Each timestep
+    draws fresh noise from a stream keyed by (seed, kind, t); the kind's step
+    hook turns it into the noisy-input column and names the tree's target.
     """
     sched = schedule if schedule is not None else build_linear_schedule(
         config.T, config.beta_start, config.beta_end)
     if sched.T != config.T:
         raise ValueError(f"schedule has T={sched.T}, config expects {config.T}")
+    order = list(order) if order is not None else list(range(config.T, 0, -1))
+    if sorted(order) != list(range(1, config.T + 1)):
+        raise ValueError("timestep_order must be a permutation of 1..T")
+    domain, step = _TRAIN_STEPS[kind]
     setup = _TrainingSetup(train, config, mean_config)
 
     trees: list = [None] * (config.T + 1)
-    log = []
-    for t in range(config.T, 0, -1):
-        rng = streams.stream(config.seed, streams.DOMAIN_DBT_TRAIN, t)
+    log = {}
+    for t in order:
+        rng = streams.stream(config.seed, domain, t)
         eps = rng.standard_normal(setup.m)
-        if t == config.T:
-            setup.Z[:, 0] = setup.mu_rep + eps
-        else:
-            y_next = forward_sample(sched, setup.y0_rep, setup.mu_rep, t + 1, eps)
-            setup.Z[:, 0] = y_next
-            y0_hat = predict_tree(trees[t + 1], setup.Z)
-            mean = posterior_mean(sched, y_next, y0_hat, setup.mu_rep, t + 1)
-            setup.Z[:, 0] = posterior_sample(sched, mean, t + 1, rng)
-        tree = fit_tree(setup.Z, setup.y0_rep, setup.kinds_z, config.tree_params,
-                        presorted=setup.presorted)
-        trees[t] = tree
-        log.append(_training_mse(tree, setup, config))
+        target = step(setup, sched, trees, t, eps, rng)
+        trees[t] = fit_tree(setup.Z, target, setup.kinds_z, config.tree_params,
+                            presorted=setup.presorted)
+        log[t] = _training_mse(trees[t], setup.Z, target, config)
 
     return DbtModel(
         schedule=sched, mean_est=setup.mean_est, step_trees=tuple(trees[1:]),
         config=config, mean_config=setup.mean_config,
         columns=tuple(train.columns), response_name=train.response_name,
         target_standardization=setup.standardization,
-        train_positive_rate=setup.positive_rate, train_log=tuple(log),
+        train_positive_rate=setup.positive_rate,
+        train_log=tuple(log[t] for t in range(config.T, 0, -1)), kind=kind,
     )
+
+
+def train_dbt(train: Dataset, config: DbtConfig = DbtConfig(),
+              mean_config: Optional[MeanEstimatorConfig] = None,
+              schedule: Optional[NoiseSchedule] = None) -> DbtModel:
+    """Fit a ``"dbt"`` model: one clean-response tree per timestep, T down to 1.
+
+    At t = T the tree's noisy input column is a prior draw.  Below T, a fresh
+    forward draw at t+1 is pushed through the just-fitted tree for t+1 and the
+    posterior to produce the noisy inputs, replicating what sampling will do.
+    """
+    return _train(train, config, mean_config, schedule, DBT)
 
 
 def _encode_rows(model, rows) -> np.ndarray:
@@ -278,22 +328,44 @@ def _reverse_chain(model, X, s_count, rng, predict_y0):
     return y0_hat.reshape(m, s_count)
 
 
-def sample_dbt(model: DbtModel, rows, s_count: int,
-               rng: np.random.Generator) -> np.ndarray:
+def _clean_from_tree(sched, tree, Z, mu_rep, t):
+    return predict_tree(tree, Z)
+
+
+def _clean_from_noise(sched, tree, Z, mu_rep, t):
+    # invert the forward reparameterization around the predicted noise
+    return y0_from_noise(sched, Z[:, 0], predict_tree(tree, Z), mu_rep, t)
+
+
+_CLEAN_ESTIMATES = {DBT: _clean_from_tree, CARD_T: _clean_from_noise}
+
+
+def sample(model: DbtModel, rows, s_count: int,
+           rng: np.random.Generator) -> np.ndarray:
     """Generate ``s_count`` response samples per row; returns an (M, S) matrix.
 
-    Regression outputs are mapped back to original response units.  For the
-    binary task the outputs are logits (see :func:`classify`).
+    Works for either kind of model.  Regression outputs are mapped back to
+    original response units.  For the binary task the outputs are logits (see
+    :func:`classify`).
     """
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
     X = _encode_rows(model, rows)
-
-    def predict_y0(tree, Z, mu_rep, t):
-        return predict_tree(tree, Z)
-
+    predict_y0 = functools.partial(_CLEAN_ESTIMATES[model.kind], model.schedule)
     out = _reverse_chain(model, X, s_count, rng, predict_y0)
     if model.target_standardization is not None:
         m, s = model.target_standardization
         out = out * s + m
     return out
+
+
+def _sample_kind(kind, model, rows, s_count, rng):
+    if model.kind != kind:
+        raise ValueError(f"expected a {kind!r} model, got a {model.kind!r} one")
+    return sample(model, rows, s_count, rng)
+
+
+def sample_dbt(model: DbtModel, rows, s_count: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample` for a ``"dbt"`` model; other kinds raise ``ValueError``."""
+    return _sample_kind(DBT, model, rows, s_count, rng)

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import MeanEstimator, MeanEstimatorConfig
-from .card_t import CardTModel
 from .data import Column
 from .dbt import DbtConfig, DbtModel
 from .schedule import build_linear_schedule
@@ -94,8 +93,8 @@ def _unpack_ensemble(prefix, arrays, n_features):
 
 
 def save_model(model, path) -> None:
-    """Write a trained sequential or independent per-timestep model."""
-    if not isinstance(model, (DbtModel, CardTModel)):
+    """Write a trained per-timestep model of either kind."""
+    if not isinstance(model, DbtModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     arrays: dict = {}
     _pack_ensemble(model.step_trees, "step", arrays)
@@ -152,7 +151,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read a model file back; predictions are bit-identical to the saved model."""
+    """Read a model file back; predictions are bit-identical to the saved model.
+
+    Any file this build cannot turn into a valid model raises
+    :class:`ModelFormatError`.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
@@ -164,14 +167,19 @@ def load_model(path):
     head_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
     try:
         header = json.loads(raw[16:16 + head_len].decode())
-        blob = raw[16 + head_len:]
-        arrays = {}
-        for spec in header["arrays"]:
-            buf = blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
-            arrays[spec["name"]] = np.frombuffer(
-                buf, dtype=spec["dtype"]).reshape(spec["shape"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
+        return _decode(header, raw[16 + head_len:])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ModelFormatError(
+            f"{path}: corrupt model file ({type(exc).__name__}: {exc})") from exc
+
+
+def _decode(header, blob) -> DbtModel:
+    """Build the model from a parsed header and the array bytes after it."""
+    arrays = {}
+    for spec in header["arrays"]:
+        buf = blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
+        arrays[spec["name"]] = np.frombuffer(
+            buf, dtype=spec["dtype"]).reshape(spec["shape"])
 
     cfg = dict(header["config"])
     cfg["tree_params"] = TreeParams(**cfg["tree_params"])
@@ -195,18 +203,13 @@ def load_model(path):
         shrinkage=header["mean_estimator"]["shrinkage"],
         loss=header["mean_estimator"]["loss"],
     )
-    step_trees = tuple(_unpack_ensemble("step", arrays, n_features + 2))
     std = header["standardization"]
-    common = dict(
-        schedule=sched, mean_est=mean_est, step_trees=step_trees, config=config,
-        mean_config=mean_config, columns=columns,
+    return DbtModel(
+        schedule=sched, mean_est=mean_est,
+        step_trees=tuple(_unpack_ensemble("step", arrays, n_features + 2)),
+        config=config, mean_config=mean_config, columns=columns,
         response_name=header["schema"]["response"],
         target_standardization=None if std is None else tuple(std),
         train_positive_rate=header["positive_rate"],
-        train_log=tuple(header["train_log"]),
+        train_log=tuple(header["train_log"]), kind=header["kind"],
     )
-    if header["kind"] == "dbt":
-        return DbtModel(**common)
-    if header["kind"] == "card_t":
-        return CardTModel(**common)
-    raise ModelFormatError(f"{path}: unknown model kind {header['kind']!r}")

@@ -414,7 +414,6 @@ def fit_tree(
     targets: np.ndarray,
     feature_kinds: Sequence[str],
     params: TreeParams = TreeParams(),
-    rng: Optional[np.random.Generator] = None,
     presorted: Optional[dict] = None,
 ) -> DecisionTree:
     """Grow a regression tree by repeatedly splitting the highest-gain leaf.
@@ -425,8 +424,6 @@ def fit_tree(
         targets: (n,) finite float array.
         feature_kinds: per-column ``NUMERIC`` or ``CATEGORICAL``.
         params: growth limits; leaf values are scaled by ``params.learning_rate``.
-        rng: accepted for interface stability; the exact greedy search does not
-            use randomness.
         presorted: optional {feature: row ids sorted ascending by value with
             missing last} to skip the root argsort of static columns.
 

@@ -4,7 +4,7 @@ import pytest
 from diffboost import streams
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.data import Column, Dataset, toy_generate
-from diffboost.dbt import DbtConfig, _reverse_chain, train_dbt, sample_dbt
+from diffboost.dbt import DbtConfig, _reverse_chain, sample, sample_dbt, train_dbt
 from diffboost.metrics import nll
 from diffboost.schedule import y0_from_noise
 from diffboost.tree import CATEGORICAL, NUMERIC, TreeParams
@@ -87,6 +87,21 @@ def test_input_layout_matches_sequential_variant():
     model = train_card_t(ds, tiny_config())
     assert all(t.n_features == ds.n_features + 2 for t in model.step_trees)
     assert model.kind == "card_t"
+
+
+def test_samplers_reject_the_other_kind():
+    ds = toy_generate("a", 120, seed=4)
+    cfg = tiny_config(T=3)
+    dbt, card_t = train_dbt(ds, cfg), train_card_t(ds, cfg)
+    probe = ds.X[:4]
+    with pytest.raises(ValueError, match="got a 'card_t'"):
+        sample_dbt(card_t, probe, 2, streams.stream(1, 1))
+    with pytest.raises(ValueError, match="got a 'dbt'"):
+        sample_card_t(dbt, probe, 2, streams.stream(1, 1))
+    # the kind-specific samplers are the generic one restricted to their kind
+    for model, kind_sampler in ((dbt, sample_dbt), (card_t, sample_card_t)):
+        assert np.array_equal(sample(model, probe, 2, streams.stream(1, 1)),
+                              kind_sampler(model, probe, 2, streams.stream(1, 1)))
 
 
 def _categorical_surrogate(n, seed):

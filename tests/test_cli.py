@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,32 @@ def test_exit_codes(tmp_path, toy_csv):
     junk = tmp_path / "junk.dbtm"
     junk.write_bytes(b"JUNKJUNKJUNKJUNK")
     assert main(["sample", "--model", str(junk), "--data", toy_csv]) == 2
+
+
+def _rewrite_header(path, edit):
+    raw = Path(path).read_bytes()
+    head_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    header = json.loads(raw[16:16 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    Path(path).write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head
+                           + raw[16 + head_len:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("positive_rate"),
+    lambda h: h["config"]["tree_params"].update(bogus=1),
+    lambda h: h["config"].update(T=h["config"]["T"] + 1),
+    lambda h: h.update(kind="nope"),
+], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "unknown_kind"])
+def test_corrupt_model_header_is_a_data_error(toy_csv, tmp_path, capsys, edit):
+    from diffboost.model_io import ModelFormatError, load_model
+    model_path = _train(toy_csv, tmp_path)
+    _rewrite_header(model_path, edit)
+    with pytest.raises(ModelFormatError, match="corrupt model file"):
+        load_model(model_path)
+    assert main(["sample", "--model", model_path, "--data", toy_csv]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_toy_command_round_trip(tmp_path):

@@ -13,7 +13,6 @@ from diffboost.data import (
     mcar_mask,
     reencode,
     save_csv,
-    standardize,
     toy_a_segment_mean,
     toy_b_boxes,
     toy_generate,
@@ -69,14 +68,6 @@ def test_load_csv_rejects_infinite_cells(tmp_path):
         load_csv(p)
 
 
-def test_standardize_without_response():
-    ds = toy_generate("a", 80, seed=3)
-    tr, te = make_split(ds, SplitSpec())
-    tr2, te2, tf = standardize(tr, te, include_response=False)
-    assert np.array_equal(tr2.y, tr.y)
-    assert tf.response_mean == 0.0 and tf.response_std == 1.0
-
-
 def test_load_csv_schema_hint(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("a,y\n1,0\n2,1\n1,0\n")
@@ -120,24 +111,6 @@ def test_make_split_counts_and_determinism():
 
     other = make_split(ds, SplitSpec(fold_seed=1, fold_index=4))[1]
     assert not np.array_equal(other.y, te1.y)
-
-
-def test_standardize_contract():
-    rng = np.random.default_rng(1)
-    X = np.column_stack([rng.normal(5, 2, 100), np.full(100, 7.0),
-                         rng.integers(0, 2, 100).astype(float)])
-    cols = (Column("a", NUMERIC), Column("const", NUMERIC),
-            Column("c", CATEGORICAL, ("u", "v")))
-    ds = Dataset("s", cols, X, rng.normal(10, 3, size=100))
-    tr, te = make_split(ds, SplitSpec())
-    tr2, te2, tf = standardize(tr, te)
-    assert abs(tr2.X[:, 0].mean()) < 1e-12
-    assert np.allclose(tr2.X[:, 1], 0.0)                        # constant -> zeros
-    assert np.array_equal(tr2.X[:, 2], tr.X[:, 2])              # categorical untouched
-    # test rows use train statistics
-    assert np.allclose(te2.X[:, 0], (te.X[:, 0] - tf.feature_mean[0]) / tf.feature_std[0])
-    assert abs(te2.X[:, 0].mean()) > 1e-6
-    assert np.allclose(tf.invert_response(tr2.y), tr.y, atol=1e-10)
 
 
 def test_mcar_mask():

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from diffboost import streams
+from diffboost.boosting import MeanEstimatorConfig
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.data import Column, Dataset, clf_toy_generate, toy_generate
 from diffboost.dbt import BINARY, DbtConfig, sample_dbt, train_dbt
@@ -61,6 +64,26 @@ def test_round_trip_binary_model(tmp_path):
     a = sample_dbt(model, train, 3, streams.stream(5, 5))
     b = sample_dbt(back, train, 3, streams.stream(5, 5))
     assert np.array_equal(a, b)
+
+
+# SHA-256 of one tiny saved model of each kind.  A refactor must leave these
+# bytes alone; only a deliberate change to training or to the file format
+# (with a new FORMAT_VERSION) may update them.
+GOLDEN_SHA256 = {
+    "dbt": "c8e714df51c15b0e830937c66bfab7f3ea157dc2ae778c761d0f082008413ebc",
+    "card_t": "3d520c7dc59ce6643365e3ce32aabacd818b625c4224654a108e1a1756d2b9e3",
+}
+
+
+@pytest.mark.parametrize("kind,trainer", [("dbt", train_dbt), ("card_t", train_card_t)])
+def test_golden_file_bytes(tmp_path, kind, trainer):
+    tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
+    model = trainer(mixed_dataset(n=40, seed=11),
+                    DbtConfig(T=4, n_noise=3, tree_params=tiny, seed=5),
+                    MeanEstimatorConfig(n_trees=3, tree_params=tiny))
+    path = tmp_path / f"{kind}.dbtm"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
 
 
 def test_save_is_deterministic(tmp_path):
