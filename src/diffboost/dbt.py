@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -225,11 +225,16 @@ def _card_t_step(setup, sched, trees, t, eps, rng):
     return eps
 
 
-# per kind: the training stream's domain tag and the step hook that fills the
-# noisy-input column and returns the regression target
-_TRAIN_STEPS = {
-    DBT: (streams.DOMAIN_DBT_TRAIN, _dbt_step),
-    CARD_T: (streams.DOMAIN_CARD_T_TRAIN, _card_t_step),
+class _Kind(NamedTuple):
+    """Everything that sets one kind of model apart from the other."""
+    train_domain: int       # stream domain of the per-timestep training noise
+    step: Callable          # fills the noisy-input column, returns the target
+    predicts_noise: bool    # trees predict the forward noise, not the clean response
+
+
+_KINDS = {
+    DBT: _Kind(streams.DOMAIN_DBT_TRAIN, _dbt_step, predicts_noise=False),
+    CARD_T: _Kind(streams.DOMAIN_CARD_T_TRAIN, _card_t_step, predicts_noise=True),
 }
 
 
@@ -260,7 +265,7 @@ def _train(train: Dataset, config: DbtConfig,
     order = list(order) if order is not None else list(range(config.T, 0, -1))
     if sorted(order) != list(range(1, config.T + 1)):
         raise ValueError("timestep_order must be a permutation of 1..T")
-    domain, step = _TRAIN_STEPS[kind]
+    domain, step, _ = _KINDS[kind]
     setup = _TrainingSetup(train, config, mean_config)
 
     trees: list = [None] * (config.T + 1)
@@ -328,7 +333,7 @@ def _reverse_chain(model, X, s_count, rng, predict_y0):
     return y0_hat.reshape(m, s_count)
 
 
-def _clean_from_tree(sched, tree, Z, mu_rep, t):
+def _clean_from_tree(tree, Z, mu_rep, t):
     return predict_tree(tree, Z)
 
 
@@ -336,8 +341,6 @@ def _clean_from_noise(sched, tree, Z, mu_rep, t):
     # invert the forward reparameterization around the predicted noise
     return y0_from_noise(sched, Z[:, 0], predict_tree(tree, Z), mu_rep, t)
 
-
-_CLEAN_ESTIMATES = {DBT: _clean_from_tree, CARD_T: _clean_from_noise}
 
 
 def sample(model: DbtModel, rows, s_count: int,
@@ -351,7 +354,9 @@ def sample(model: DbtModel, rows, s_count: int,
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
     X = _encode_rows(model, rows)
-    predict_y0 = functools.partial(_CLEAN_ESTIMATES[model.kind], model.schedule)
+    predict_y0 = _clean_from_tree
+    if _KINDS[model.kind].predicts_noise:
+        predict_y0 = functools.partial(_clean_from_noise, model.schedule)
     out = _reverse_chain(model, X, s_count, rng, predict_y0)
     if model.target_standardization is not None:
         m, s = model.target_standardization
