@@ -21,7 +21,7 @@ from .boosting import MeanEstimator, MeanEstimatorConfig
 from .data import Column
 from .dbt import DbtConfig, DbtModel
 from .schedule import build_linear_schedule
-from .tree import DecisionTree, TreeParams
+from .tree import CATEGORICAL, DecisionTree, TreeParams
 
 __all__ = ["save_model", "load_model", "ModelFormatError", "FORMAT_VERSION", "MAGIC"]
 
@@ -61,7 +61,59 @@ def _pack_ensemble(trees, prefix, arrays):
                                       else np.empty(0, dtype="<i8"))
 
 
-def _unpack_ensemble(prefix, arrays, n_features):
+_ENSEMBLE_DTYPES = dict(_NODE_FIELDS, tree_offsets="<i8", is_categorical="u1",
+                        cat_len="<i8", cat_values="<i8")
+
+
+def _check_ensemble(prefix, arrays, cat_feature):
+    """Raise ``ValueError`` unless the packed node tables of one ensemble
+    describe trees that prediction can walk; ``cat_feature[f]`` says whether
+    input column f is categorical.
+
+    Children come after their parent (as the writer lays them out), so every
+    walk from a root ends at a leaf.
+    """
+    def fail(what):
+        raise ValueError(f"{prefix} trees: {what}")
+
+    a = {}
+    for name, dtype in _ENSEMBLE_DTYPES.items():
+        a[name] = arrays[f"{prefix}.{name}"]
+        if a[name].dtype != np.dtype(dtype) or a[name].ndim != 1:
+            fail(f"{name} is not a 1-D {dtype} array")
+    offs, feature = a["tree_offsets"], a["feature"]
+    m = feature.shape[0]
+    if any(a[name].shape[0] != m for name in
+           [n for n, _ in _NODE_FIELDS] + ["is_categorical", "cat_len"]):
+        fail("node arrays differ in length")
+    sizes = np.diff(offs)
+    if offs.shape[0] == 0 or offs[0] != 0 or offs[-1] != m or (sizes < 1).any():
+        fail("tree_offsets do not rise from 0 to the node count")
+
+    local = np.arange(m) - np.repeat(offs[:-1], sizes)     # node id within its tree
+    size = np.repeat(sizes, sizes)
+    left, right = a["children_left"], a["children_right"]
+    is_cat, cat_len = a["is_categorical"] != 0, a["cat_len"]
+    leaf = feature == -1
+    if ((feature < -1) | (feature >= cat_feature.shape[0])).any():
+        fail("feature index out of range")
+    if (leaf & ((left != -1) | (right != -1) | is_cat | ~np.isfinite(a["value"]))).any():
+        fail("a leaf has children, a category set or a non-finite value")
+    for child in (left, right):
+        if (~leaf & ((child <= local) | (child >= size))).any():
+            fail("a child index is out of range or not after its parent")
+    if (is_cat[~leaf] != cat_feature[feature[~leaf]]).any():
+        fail("a split rule does not match its column's kind")
+    if (cat_len < 0).any() or (cat_len[~is_cat] != 0).any() \
+            or cat_len.sum() != a["cat_values"].shape[0]:
+        fail("category set lengths do not match the stored codes")
+    if (a["cat_values"] < 0).any():
+        fail("negative category code")
+
+
+def _unpack_ensemble(prefix, arrays, cat_feature):
+    _check_ensemble(prefix, arrays, cat_feature)
+    n_features = cat_feature.shape[0]
     offs = arrays[f"{prefix}.tree_offsets"]
     cols = {name: arrays[f"{prefix}.{name}"] for name, _ in _NODE_FIELDS}
     is_cat = arrays[f"{prefix}.is_categorical"].astype(bool)
@@ -193,20 +245,22 @@ def _decode(header, blob) -> DbtModel:
                None if c["categories"] is None else tuple(c["categories"]))
         for c in header["schema"]["columns"]
     )
-    n_features = len(columns)
+    cat_feature = np.array([c.kind == CATEGORICAL for c in columns], dtype=bool)
     sched = build_linear_schedule(header["schedule"]["T"],
                                   header["schedule"]["beta_start"],
                                   header["schedule"]["beta_end"])
     mean_est = MeanEstimator(
         base_score=header["mean_estimator"]["base_score"],
-        trees=tuple(_unpack_ensemble("mean", arrays, n_features)),
+        trees=tuple(_unpack_ensemble("mean", arrays, cat_feature)),
         shrinkage=header["mean_estimator"]["shrinkage"],
         loss=header["mean_estimator"]["loss"],
     )
+    # step trees read (noisy response, covariates, mean-estimate)
+    step_cat = np.concatenate([[False], cat_feature, [False]])
     std = header["standardization"]
     return DbtModel(
         schedule=sched, mean_est=mean_est,
-        step_trees=tuple(_unpack_ensemble("step", arrays, n_features + 2)),
+        step_trees=tuple(_unpack_ensemble("step", arrays, step_cat)),
         config=config, mean_config=mean_config, columns=columns,
         response_name=header["schema"]["response"],
         target_standardization=None if std is None else tuple(std),

@@ -67,7 +67,10 @@ class NoiseSchedule:
 def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Build the schedule with beta interpolated linearly from start to end inclusive.
 
-    Requires T >= 2 and 0 < beta_start <= beta_end < 1.
+    Requires T >= 2 and 0 < beta_start <= beta_end < 1, and a schedule whose
+    ``alpha_bar[T]``, ``gamma0[2..T]`` and ``tilde_beta[2..T]`` stay finite and
+    positive (a long chain of large betas underflows ``alpha_bar`` to zero,
+    which the clean-response reconstruction divides by).
     """
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
@@ -102,6 +105,13 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
     gamma0[2:] = beta[ts] * sqrt_ab[ts - 1] / omab[ts]
     gamma1[2:] = omab[ts - 1] * sqrt_a[ts] / omab[ts]
     gamma2[2:] = 1.0 + (sqrt_ab[ts] - 1.0) * (sqrt_a[ts] + sqrt_ab[ts - 1]) / omab[ts]
+
+    for name, used in (("alpha_bar[T]", alpha_bar[T:]), ("gamma0", gamma0[2:]),
+                       ("tilde_beta", tilde_beta[2:])):
+        if not (np.isfinite(used).all() and (used > 0).all()):
+            raise ValueError(
+                f"schedule T={T}, beta=({beta_start}, {beta_end}) underflows: "
+                f"{name} is not finite and positive")
 
     return NoiseSchedule(
         T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,

@@ -110,11 +110,26 @@ class _OpenLeaf:
         self.best = None                        # (gain, feature, thr, cats, default_left)
 
 
-def _missing_mask(col: np.ndarray, is_cat: bool) -> np.ndarray:
-    m = np.isnan(col)
-    if is_cat:
-        m |= col < 0
-    return m
+def _goes_left(col, thr, cats, default_left):
+    """Which values of ``col`` a node sends left; fitting and prediction share it.
+
+    Numeric nodes send ``value <= thr`` left.  Categorical nodes look each code
+    up in a boolean table of ``cats``; codes past the table's last slot are
+    never left.  Missing values (NaN, or a negative code) follow
+    ``default_left``.
+    """
+    if cats is None:
+        miss = np.isnan(col)
+        with np.errstate(invalid="ignore"):
+            left = col <= thr
+    else:
+        miss = np.isnan(col) | (col < 0)
+        top = int(cats.max()) + 1 if cats.size else 0
+        lut = np.zeros(top + 1, dtype=bool)
+        lut[cats] = True
+        left = lut[np.where(miss | (col > top), top, col).astype(np.int64)]
+    left[miss] = default_left
+    return left
 
 
 def _better_numeric(cand, best):
@@ -172,68 +187,13 @@ def _best_numeric(xs, csum, n_miss, sum_miss, n, msl):
     return best
 
 
-def _better_categorical(cand, best):
-    """Order: higher gain, then smaller left set, then default-left."""
-    if best is None:
-        return True
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    if len(cand[1]) != len(best[1]):
-        return len(cand[1]) < len(best[1])
-    return cand[2] and not best[2]
-
-
-def _best_categorical(codes, yc, n_miss, sum_miss, n, msl, max_card):
-    """Best category-set cut: categories ordered by mean target, prefix scanned."""
-    if codes.shape[0] == 0:
-        return None
-    k = int(codes.max()) + 1
-    if k > max_card:
-        return None
-    cnt = np.bincount(codes, minlength=k)
-    ysum = np.bincount(codes, weights=yc, minlength=k)
-    present = np.flatnonzero(cnt)
-    means = ysum[present] / cnt[present]
-    order = present[np.lexsort((present, means))]
-    cum_n = np.cumsum(cnt[order])
-    cum_s = np.cumsum(ysum[order])
-    g_count = order.shape[0]
-    best = None
-
-    if g_count >= 2:
-        variants = (True,) if n_miss == 0 else (True, False)
-        for miss_left in variants:
-            n_l = cum_n[:-1] + (n_miss if miss_left else 0)
-            s_l = cum_s[:-1] + (sum_miss if miss_left else 0.0)
-            n_r = n - n_l
-            ok = (n_l >= msl) & (n_r >= msl)
-            if not ok.any():
-                continue
-            gain = np.where(ok, s_l * s_l / n_l + s_l * s_l / n_r, -np.inf)
-            i = int(np.argmax(gain))
-            g = float(gain[i])
-            if g <= 0:
-                continue
-            cats = np.sort(order[: i + 1]).astype(np.int64)
-            if _better_categorical((g, cats, miss_left), best):
-                best = (g, cats, miss_left)
-
-    if 0 < n_miss and n_miss >= msl and n - n_miss >= msl:
-        g = sum_miss * sum_miss / n_miss + sum_miss * sum_miss / (n - n_miss)
-        if g > 0:
-            for cats, miss_left in ((np.empty(0, dtype=np.int64), True),
-                                    (np.sort(order).astype(np.int64), False)):
-                if _better_categorical((g, cats, miss_left), best):
-                    best = (g, cats, miss_left)
-    return best
-
-
 class _Fit:
     """Shared fitting state.
 
     Numeric columns without any missing cell form a "block" evaluated with one
     set of 2-D array passes per node; numeric columns containing missing cells
-    and categorical columns take slower per-feature paths.
+    take a per-feature path; categorical columns are searched together with
+    one offset ``bincount`` per node.
     """
 
     def __init__(self, X, y, kinds, params):
@@ -252,19 +212,40 @@ class _Fit:
         # reusable scratch for the block split search; sized once at the root
         q = max(len(self.block_features), 1)
         self.k1 = np.arange(1.0, self.n + 1.0)
+        if len(self.block_features):
+            self.recip = 1.0 / self.k1       # recip[m - 1] = 1/m, for every leaf's gain weights
         self.cs_scratch = np.empty((q, self.n))
         self.gain_scratch = np.empty((q, self.n))
         self.valid_scratch = np.empty((q, self.n), dtype=bool)
+        if len(self.cat_features):
+            self._encode_categorical()
 
-    def _inv_table(self, n):
-        # inv[k] = 1/k + 1/(n-k) for k in 1..n-1; slot 0 unused
-        k = np.arange(1, n, dtype=np.float64)
-        inv = np.empty(n)
-        inv[0] = np.nan
-        inv[1:] = 1.0 / k + 1.0 / (n - k)
-        return inv
+    def _encode_categorical(self):
+        """Code every categorical cell once, offset so that column j owns bins
+        ``j*w .. j*w + w - 1`` of a single ``bincount``, with ``w = k + 2``.
 
-    def _best_in_block(self, leaf, n, mean, msl, inv):
+        A column's ``w`` bins are ``k`` code bins, then one for missing cells
+        (NaN or a negative code), then one for codes at or above
+        ``max_categorical_cardinality``; a node holding such a code does not
+        split on that column.
+        """
+        c = len(self.cat_features)
+        raw = self.X[:, self.cat_features]
+        miss = np.isnan(raw) | (raw < 0)
+        over = ~miss & (raw >= self.params.max_categorical_cardinality)
+        k = max(int(np.max(raw, where=~(miss | over), initial=-1.0)) + 1, 2)
+        raw[miss] = k
+        raw[over] = k + 1
+        offsets = (k + 2) * np.arange(c)
+        raw += offsets
+        # the narrowest integer type that holds every bin number
+        self.cat_codes = raw.astype(np.min_scalar_type(c * (k + 2) - 1))
+        self.cat_k = k
+        self.cat_miss_bins = offsets + k
+        self.cat_ix = np.arange(c)[:, None]
+        self.cat_cuts = np.arange(k - 1)
+
+    def _best_in_block(self, leaf, n, mean, msl):
         """One vectorized pass over all complete numeric features."""
         lo, hi = msl, n - msl                  # legal left-side sizes
         if lo > hi or leaf.idx is None:
@@ -274,7 +255,8 @@ class _Fit:
         cs -= mean * self.k1[:n]               # prefix sums of centered targets
         s = cs[:, lo - 1:hi]
         gain = np.multiply(s, s, out=self.gain_scratch[:q, :hi - lo + 1])
-        gain *= inv[lo:hi + 1]
+        # 1/k + 1/(n-k) for left sizes k = lo..hi
+        gain *= self.recip[lo - 1:hi] + self.recip[n - hi - 1:n - lo][::-1]
         bad = np.less_equal(leaf.xv[:, lo:hi + 1], leaf.xv[:, lo - 1:hi],
                             out=self.valid_scratch[:q, :hi - lo + 1])
         gain[bad] = -np.inf
@@ -291,6 +273,70 @@ class _Fit:
             thr = a
         return (g, int(self.block_features[f_loc]), thr, None, True)
 
+    def _best_categorical(self, rows, yc, n, msl, min_gain):
+        """Best category-set cut over all categorical columns at once.
+
+        Per column, categories are ordered by mean target (ties by code) and
+        every prefix of that order is a candidate left set, with the missing
+        rows on either side; the missing rows alone on one side are two more
+        candidates.  Returns (gain, feature, nan, cats, default_left) for the
+        best column (ties to the lower feature) if its gain beats
+        ``min_gain``, else None.
+        """
+        c, k = len(self.cat_features), self.cat_k
+        # only the root holds every row, in order
+        leaf_codes = self.cat_codes if n == self.n else self.cat_codes[rows]
+        flat = leaf_codes.ravel().astype(np.intp)
+        cnt = np.bincount(flat, minlength=c * (k + 2)).reshape(c, k + 2)
+        ysum = np.bincount(flat, weights=np.repeat(yc, c),
+                           minlength=c * (k + 2)).reshape(c, k + 2)
+        n_miss = cnt[:, k]
+        usable = cnt[:, k + 1] == 0
+        cnt, ysum = cnt[:, :k], ysum[:, :k]
+
+        # absent categories sort last; the stable sort breaks mean ties by code
+        present = cnt > 0
+        means = np.full((c, k), np.inf)
+        np.divide(ysum, cnt, out=means, where=present)
+        order = np.argsort(means, axis=1, kind="stable")
+        cum_n = np.cumsum(cnt[self.cat_ix, order], axis=1)[:, :-1]
+        cum_s = np.cumsum(ysum[self.cat_ix, order], axis=1)[:, :-1]
+        g_count = present.sum(axis=1)
+        dead = (self.cat_cuts >= (g_count - 1)[:, None]) | ~usable[:, None]
+
+        def scan(n_l, s_l, miss_left):
+            # each column's best prefix cut: (gain, left set size, missing left)
+            n_r = n - n_l
+            sq = s_l * s_l
+            gain = sq / n_l + sq / n_r
+            gain[dead | (n_l < msl) | (n_r < msl)] = -np.inf
+            return gain.max(axis=1), gain.argmax(axis=1) + 1, miss_left
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not n_miss.any():
+                cands = [scan(cum_n, cum_s, True)]
+            else:
+                sum_miss = np.zeros(c)
+                for j in np.flatnonzero(n_miss):
+                    # np.sum rounds pairwise, unlike the missing bin's running sum
+                    sum_miss[j] = yc[leaf_codes[:, j] == self.cat_miss_bins[j]].sum()
+                alone = usable & (n_miss >= msl) & (n - n_miss >= msl)
+                g_alone = np.where(alone, sum_miss * sum_miss / n_miss
+                                   + sum_miss * sum_miss / (n - n_miss), -np.inf)
+                cands = [scan(cum_n + n_miss[:, None], cum_s + sum_miss[:, None], True),
+                         scan(cum_n, cum_s, False),
+                         (g_alone, np.zeros_like(g_count), True), (g_alone, g_count, False)]
+        g_col = np.max([g for g, _, _ in cands], axis=0)
+        j = int(np.argmax(g_col))
+        if not g_col[j] > min_gain:
+            return None
+        # within the column: higher gain, then fewer left categories, then
+        # missing-left (no two candidates tie on all three)
+        g, n_left, miss_left = max(((float(g[j]), int(n_l[j]), ml) for g, n_l, ml in cands),
+                                   key=lambda r: (r[0], -r[1], r[2]))
+        cats = np.sort(order[j, :n_left]).astype(np.int64)
+        return (g, int(self.cat_features[j]), np.nan, cats, miss_left)
+
     def evaluate(self, leaf: _OpenLeaf):
         """Find the best split of ``leaf`` and cache it on the leaf."""
         n = leaf.rows.shape[0]
@@ -299,19 +345,19 @@ class _Fit:
         if n < 2 * msl or y_leaf.min() == y_leaf.max():
             leaf.best = None
             return
-        mean = float(y_leaf.mean())
+        mean = float(y_leaf.sum() / n)          # y_leaf.mean() bit for bit, with less overhead
         sse = float(y_leaf @ y_leaf) - n * mean * mean
         min_gain = _MIN_GAIN_REL * max(sse, 0.0)
-        inv = self._inv_table(n)
 
-        best = self._best_in_block(leaf, n, mean, msl, inv)
+        best = self._best_in_block(leaf, n, mean, msl)
         if best is not None and best[0] <= min_gain:
             best = None
 
         if len(self.sparse_features) or len(self.cat_features):
-            yc = self.y[leaf.rows] - mean
-            self.buf[leaf.rows] = yc
+            yc = (y_leaf if leaf.yv is None else self.y[leaf.rows]) - mean
 
+        if len(self.sparse_features):
+            self.buf[leaf.rows] = yc
             for f in self.sparse_features:
                 idx = leaf.sparse_sorted[f]
                 n_present = leaf.n_present[f]
@@ -327,18 +373,10 @@ class _Fit:
                     if best is None or _better_split(cand, best):
                         best = cand
 
-            for f in self.cat_features:
-                col = self.X[leaf.rows, f]
-                miss = _missing_mask(col, True)
-                n_miss = int(miss.sum())
-                sum_miss = float(yc[miss].sum()) if n_miss else 0.0
-                codes = col[~miss].astype(np.int64) if n_miss else col.astype(np.int64)
-                r = _best_categorical(codes, yc[~miss] if n_miss else yc, n_miss, sum_miss,
-                                      n, msl, self.params.max_categorical_cardinality)
-                if r is not None and r[0] > min_gain:
-                    cand = (r[0], int(f), np.nan, r[1], r[2])
-                    if best is None or _better_split(cand, best):
-                        best = cand
+        if len(self.cat_features):
+            cand = self._best_categorical(leaf.rows, yc, n, msl, min_gain)
+            if cand is not None and (best is None or _better_split(cand, best)):
+                best = cand
         leaf.best = best
 
     def split(self, leaf: _OpenLeaf, node_left: int, node_right: int):
@@ -354,15 +392,7 @@ class _Fit:
             self.mask[rows_left] = True
             self.mask[rows_right] = False
         else:
-            col = self.X[leaf.rows, f]
-            if cats is None:
-                miss = np.isnan(col)
-                with np.errstate(invalid="ignore"):
-                    go_left = col <= thr
-            else:
-                miss = _missing_mask(col, True)
-                go_left = np.isin(np.where(miss, 0.0, col).astype(np.int64), cats) & ~miss
-            go_left[miss] = default_left
+            go_left = _goes_left(self.X[leaf.rows, f], thr, cats, default_left)
             self.mask[leaf.rows] = go_left
             rows_left = leaf.rows[go_left]
             rows_right = leaf.rows[~go_left]
@@ -430,6 +460,11 @@ def fit_tree(
     Ties between equal-gain splits resolve to the lower feature index, then
     the lower threshold (smaller category group), then default-left.
     """
+    return _grow_tree(features, targets, feature_kinds, params, presorted)[0]
+
+
+def _grow_tree(features, targets, feature_kinds, params, presorted=None):
+    """:func:`fit_tree` that also returns the leaf node id of every training row."""
     X = np.ascontiguousarray(features, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -517,10 +552,12 @@ def fit_tree(
             open_leaves.append(child)
 
     lr = params.learning_rate
+    leaf_of_row = np.empty(n, dtype=np.int64)
     for leaf in open_leaves:
         nodes_value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
+        leaf_of_row[leaf.rows] = leaf.node_id
 
-    return DecisionTree(
+    tree = DecisionTree(
         feature=np.asarray(nodes_feature, dtype=np.int32),
         threshold=np.asarray(nodes_threshold, dtype=np.float64),
         left_categories=tuple(nodes_cats),
@@ -531,6 +568,7 @@ def fit_tree(
         split_gain=np.asarray(nodes_gain, dtype=np.float64),
         n_features=p,
     )
+    return tree, leaf_of_row
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +590,8 @@ def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
         if tree.feature[nid] < 0:
             out[ridx] = nid
             continue
-        col = X[ridx, tree.feature[nid]]
-        cats = tree.left_categories[nid]
-        if cats is None:
-            unknown = np.isnan(col)
-            with np.errstate(invalid="ignore"):
-                go_left = col <= tree.threshold[nid]
-        else:
-            unknown = np.isnan(col) | (col < 0)
-            safe = np.where(unknown, 0.0, col)
-            go_left = np.isin(safe.astype(np.int64), cats)
-        go_left[unknown] = tree.default_left[nid]
+        go_left = _goes_left(X[ridx, tree.feature[nid]], tree.threshold[nid],
+                             tree.left_categories[nid], tree.default_left[nid])
         stack.append((tree.children_left[nid], ridx[go_left]))
         stack.append((tree.children_right[nid], ridx[~go_left]))
     return out[0] if single else out

@@ -165,6 +165,14 @@ def test_exit_codes(tmp_path, toy_csv):
     assert main(["sample", "--model", str(junk), "--data", toy_csv]) == 2
 
 
+def test_underflowing_schedule_is_a_usage_error(toy_csv, tmp_path, capsys):
+    rc = main(["train", "--data", toy_csv, "--out", str(tmp_path / "m.dbtm"),
+               "--timesteps", "1000", "--beta-end", "0.999"])
+    assert rc == 1
+    assert "underflows" in capsys.readouterr().err
+    assert not (tmp_path / "m.dbtm").exists()
+
+
 def _rewrite_header(path, edit):
     raw = Path(path).read_bytes()
     head_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import json
+import signal
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from diffboost import streams
 from diffboost.boosting import MeanEstimatorConfig
 from diffboost.card_t import sample_card_t, train_card_t
-from diffboost.data import Column, Dataset, clf_toy_generate, toy_generate
+from diffboost.cli import main
+from diffboost.data import Column, Dataset, clf_toy_generate, save_csv, toy_generate
 from diffboost.dbt import BINARY, DbtConfig, sample_dbt, train_dbt
 from diffboost.model_io import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
 from diffboost.tree import CATEGORICAL, TreeParams
@@ -72,6 +76,7 @@ def test_round_trip_binary_model(tmp_path):
 GOLDEN_SHA256 = {
     "dbt": "c8e714df51c15b0e830937c66bfab7f3ea157dc2ae778c761d0f082008413ebc",
     "card_t": "3d520c7dc59ce6643365e3ce32aabacd818b625c4224654a108e1a1756d2b9e3",
+    "card_t_categorical": "14c5acefdabc33376a1415b86062e0bb7a6badaa60069e9392755e3c0a3c115c",
 }
 
 
@@ -84,6 +89,33 @@ def test_golden_file_bytes(tmp_path, kind, trainer):
     path = tmp_path / f"{kind}.dbtm"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
+
+
+def categorical_dataset(n=300, seed=13):
+    """4 categorical columns of 12 levels with ~10% missing cells and some
+    negative (unknown) codes in the last column."""
+    rng = np.random.default_rng(seed)
+    k = 12
+    codes = rng.integers(0, k, size=(n, 4)).astype(float)
+    y = rng.normal(size=k)[codes[:, 0].astype(int)] + 0.5 * codes[:, 1] \
+        + rng.normal(scale=0.3, size=n)
+    codes[rng.random((n, 4)) < 0.1] = np.nan
+    codes[rng.random(n) < 0.05, 3] = -1.0
+    cats = tuple(str(i) for i in range(k))
+    cols = tuple(Column(f"c{j}", CATEGORICAL, cats) for j in range(4))
+    return Dataset("cat_missing", cols, codes, y)
+
+
+def test_golden_file_bytes_categorical(tmp_path):
+    model = train_card_t(categorical_dataset(),
+                         DbtConfig(T=3, n_noise=4, seed=7,
+                                   tree_params=TreeParams(num_leaves=15, min_samples_leaf=5)),
+                         MeanEstimatorConfig(n_trees=4, tree_params=TreeParams(
+                             num_leaves=31, min_samples_leaf=5)))
+    path = tmp_path / "card_t_categorical.dbtm"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_SHA256["card_t_categorical"]
 
 
 def test_save_is_deterministic(tmp_path):
@@ -134,3 +166,78 @@ def test_magic_prefix(tmp_path):
     p = tmp_path / "m.dbtm"
     save_model(model, p)
     assert p.read_bytes()[:4] == MAGIC
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _header(raw):
+    head_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    return json.loads(raw[16:16 + head_len]), 16 + head_len
+
+
+def _patch_array(path, name, index, value):
+    """Overwrite entry ``index`` of the stored array ``name`` in place."""
+    raw = bytearray(path.read_bytes())
+    header, blob_start = _header(raw)
+    spec = next(a for a in header["arrays"] if a["name"] == name)
+    dtype = np.dtype(spec["dtype"])
+    assert index < spec["shape"][0]
+    at = blob_start + spec["offset"] + index * dtype.itemsize
+    raw[at:at + dtype.itemsize] = np.array([value], dtype=dtype).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("name,index,value", [
+    ("step.children_left", 0, 0),        # the root's left child is the root
+    ("step.children_right", 0, -1),      # an internal node without a right child
+    ("step.feature", 0, 99),
+    ("mean.feature", 0, -2),
+    ("step.tree_offsets", 1, 10**6),
+    ("mean.cat_values", 0, -3),
+    ("step.is_categorical", 0, 1),       # a category set on a numeric split
+], ids=["child_is_parent", "missing_child", "feature_99", "feature_negative",
+        "offset_past_end", "negative_category", "kind_mismatch"])
+def test_corrupt_node_table_is_a_data_error(tmp_path, capsys, name, index, value):
+    ds = mixed_dataset(seed=3)
+    model = train_dbt(ds, DbtConfig(T=3, n_noise=4, tree_params=FAST, seed=2),
+                      MeanEstimatorConfig(n_trees=3, tree_params=FAST))
+    # the patched root must be a numeric split for the mutations above to bite
+    assert model.step_trees[0].feature[0] >= 0 and model.step_trees[0].left_categories[0] is None
+    path = tmp_path / "m.dbtm"
+    save_model(model, path)
+    _patch_array(path, name, index, value)
+    data = tmp_path / "d.csv"
+    save_csv(ds, data)
+    with time_limit(30):
+        with pytest.raises(ModelFormatError, match="corrupt model file"):
+            load_model(path)
+        assert main(["sample", "--model", str(path), "--data", str(data)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_underflowing_schedule_in_file_is_rejected(tmp_path):
+    tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
+    model = train_dbt(mixed_dataset(n=40, seed=11),
+                      DbtConfig(T=30, n_noise=2, tree_params=tiny, seed=5),
+                      MeanEstimatorConfig(n_trees=2, tree_params=tiny))
+    path = tmp_path / "m.dbtm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    header, blob_start = _header(raw)
+    near_one = float(np.nextafter(1.0, 0.0))
+    header["schedule"].update(beta_start=near_one, beta_end=near_one)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
+    with pytest.raises(ModelFormatError, match="underflows"):
+        load_model(path)

@@ -66,6 +66,16 @@ def test_invalid_ranges_rejected():
         build_linear_schedule(10, 0.1, 1.0)
 
 
+def test_underflowing_schedule_rejected():
+    # 1000 steps rising to beta=0.999 drive alpha_bar[T] to exactly 0.0
+    with pytest.raises(ValueError, match="underflows"):
+        build_linear_schedule(1000, 1e-4, 0.999)
+    near_one = np.nextafter(1.0, 0.0)
+    with pytest.raises(ValueError, match="underflows"):
+        build_linear_schedule(30, near_one, near_one)
+    assert build_linear_schedule(10, 1e-4, 0.999).alpha_bar[10] > 0
+
+
 def test_forward_sample_zero_noise_is_mean(sched):
     y0 = np.array([0.3, -1.2])
     mu = np.array([1.0, 1.0])

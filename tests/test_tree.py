@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffboost.tree import (
     CATEGORICAL,
     NUMERIC,
     TreeParams,
+    _grow_tree,
     apply_tree,
     fit_tree,
     gain_importance,
@@ -199,3 +201,65 @@ def test_error_contracts():
         fit_tree(np.zeros((5, 2)), np.zeros(5), [NUMERIC])
     with pytest.raises(ValueError):
         predict_tree(fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC]), np.zeros((3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 160),
+       n_block=st.integers(0, 2), n_sparse=st.integers(0, 2), n_cat=st.integers(0, 3),
+       msl=st.integers(1, 6), lr=st.sampled_from([1.0, 0.3]), max_card=st.integers(3, 12))
+def test_grower_leaf_of_each_row_matches_apply_tree(seed, n, n_block, n_sparse, n_cat,
+                                                    msl, lr, max_card):
+    rng = np.random.default_rng(seed)
+    cols, kinds = [rng.normal(size=n)], [NUMERIC]
+    for _ in range(n_block):
+        cols.append(rng.normal(size=n).round(1))            # repeated values
+        kinds.append(NUMERIC)
+    for _ in range(n_sparse):
+        col = rng.normal(size=n)
+        col[rng.random(n) < 0.3] = np.nan
+        cols.append(col)
+        kinds.append(NUMERIC)
+    for _ in range(n_cat):
+        col = rng.integers(-1, 9, n).astype(float)           # -1: unknown code
+        col[rng.random(n) < 0.15] = np.nan
+        cols.append(col)
+        kinds.append(CATEGORICAL)
+    perm = rng.permutation(len(cols))
+    X = np.column_stack([cols[i] for i in perm])
+    kinds = [kinds[i] for i in perm]
+    y = np.nan_to_num(X).sum(axis=1) + rng.normal(size=n)
+    params = TreeParams(num_leaves=12, min_samples_leaf=msl, learning_rate=lr,
+                        max_categorical_cardinality=max_card)
+    tree, leaf_of_row = _grow_tree(X, y, kinds, params)
+    assert np.array_equal(leaf_of_row, apply_tree(tree, X))
+    assert np.array_equal(tree.value[leaf_of_row], predict_tree(tree, X))
+
+
+def test_identical_categorical_columns_split_on_the_lower_index():
+    rng = np.random.default_rng(10)
+    codes = rng.integers(0, 6, 400).astype(float)
+    y = np.array([0.0, 2.0, -1.0, 3.0, 1.0, 5.0])[codes.astype(int)] \
+        + rng.normal(scale=0.1, size=400)
+    codes[rng.random(400) < 0.1] = np.nan
+    X = np.column_stack([rng.normal(size=400), codes, codes])
+    tree = fit_tree(X, y, [NUMERIC, CATEGORICAL, CATEGORICAL],
+                    TreeParams(num_leaves=10, min_samples_leaf=5))
+    assert tree.feature[0] == 1
+    assert 2 not in set(tree.feature)
+
+
+def test_column_over_cardinality_cap_is_never_split():
+    rng = np.random.default_rng(11)
+    n = 2000
+    big = rng.integers(0, 40, n).astype(float)              # every leaf holds codes >= 16
+    small = rng.integers(0, 4, n).astype(float)
+    y = rng.normal(scale=3.0, size=40)[big.astype(int)] + 0.5 * small \
+        + rng.normal(scale=0.1, size=n)
+    X = np.column_stack([big, small])
+    kinds = [CATEGORICAL, CATEGORICAL]
+    uncapped = fit_tree(X, y, kinds, TreeParams(num_leaves=8, min_samples_leaf=10))
+    assert uncapped.feature[0] == 0                          # the stronger column
+    capped = fit_tree(X, y, kinds, TreeParams(num_leaves=8, min_samples_leaf=10,
+                                              max_categorical_cardinality=16))
+    assert 0 not in set(capped.feature)
+    assert 1 in set(capped.feature)
