@@ -13,7 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tree import TreeParams, _grow_tree, predict_tree, replace_leaf_values
+from .tree import (
+    TreeParams,
+    apply_tree,
+    fit_tree,
+    predict_tree,
+    replace_leaf_values,
+)
 
 __all__ = ["MeanEstimatorConfig", "MeanEstimator", "fit_mean_estimator", "predict_mean"]
 
@@ -69,12 +75,6 @@ def fit_mean_estimator(
     score is the log-odds of the positive rate and leaf values use Sum(g)/Sum(h)
     with the hessian sum floored to avoid blow-ups in pure leaves.
     """
-    return _fit_with_fitted(X, y, feature_kinds, config, presorted)[0]
-
-
-def _fit_with_fitted(X, y, feature_kinds, config, presorted=None):
-    """:func:`fit_mean_estimator` that also returns its fitted values, equal
-    bit for bit to ``predict_mean(est, X)``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
 
@@ -89,8 +89,6 @@ def _fit_with_fitted(X, y, feature_kinds, config, presorted=None):
     else:
         base = float(y.mean())
 
-    # each tree's leaf of every training row comes from the grower, so the
-    # raw scores accumulate exactly as predict_mean would recompute them
     raw = np.full(y.shape[0], base)
     trees = []
     for _ in range(config.n_trees):
@@ -98,18 +96,19 @@ def _fit_with_fitted(X, y, feature_kinds, config, presorted=None):
             p = _sigmoid(raw)
             grad = y - p
             hess = p * (1.0 - p)
-            tree, leaves = _grow_tree(X, grad, feature_kinds, config.tree_params, presorted)
+            tree = fit_tree(X, grad, feature_kinds, config.tree_params, presorted=presorted)
+            leaves = apply_tree(tree, X)
             num = np.bincount(leaves, weights=grad, minlength=tree.n_nodes)
             den = np.bincount(leaves, weights=hess, minlength=tree.n_nodes)
             tree = replace_leaf_values(tree, num / np.maximum(den, _HESSIAN_FLOOR))
+            raw = raw + config.shrinkage * tree.value[leaves]
         else:
-            tree, leaves = _grow_tree(X, y - raw, feature_kinds, config.tree_params, presorted)
-        raw = raw + config.shrinkage * tree.value[leaves]
+            tree = fit_tree(X, y - raw, feature_kinds, config.tree_params, presorted=presorted)
+            raw = raw + config.shrinkage * predict_tree(tree, X)
         trees.append(tree)
 
-    est = MeanEstimator(base_score=base, trees=tuple(trees),
-                        shrinkage=config.shrinkage, loss=config.loss)
-    return est, _sigmoid(raw) if config.loss == LOGISTIC else raw
+    return MeanEstimator(base_score=base, trees=tuple(trees),
+                         shrinkage=config.shrinkage, loss=config.loss)
 
 
 def predict_mean(est: MeanEstimator, rows: np.ndarray) -> np.ndarray:

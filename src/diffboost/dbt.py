@@ -31,7 +31,7 @@ from .boosting import (
     SQUARED,
     MeanEstimator,
     MeanEstimatorConfig,
-    _fit_with_fitted,
+    fit_mean_estimator,
     predict_mean,
 )
 from .data import Dataset, reencode
@@ -43,7 +43,7 @@ from .schedule import (
     posterior_sample,
     y0_from_noise,
 )
-from .tree import CATEGORICAL, NUMERIC, TreeParams, _grow_tree, predict_tree
+from .tree import CATEGORICAL, NUMERIC, TreeParams, fit_tree, predict_tree
 
 __all__ = [
     "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
@@ -185,7 +185,8 @@ class _TrainingSetup:
             self.positive_rate = None
             mean_target = y0
 
-        self.mean_est, fphi = _fit_with_fitted(X, mean_target, train.kinds(), mean_config)
+        self.mean_est = fit_mean_estimator(X, mean_target, train.kinds(), mean_config)
+        fphi = predict_mean(self.mean_est, X)
         mu = fphi if config.prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros_like(fphi)
 
         reps = config.n_noise
@@ -237,13 +238,13 @@ _KINDS = {
 }
 
 
-def _training_mse(tree, leaf_of_row, target, config):
+def _training_mse(tree, Z, target, config):
     # exact when the leaf learning rate is 1: leaves are means, so the fitted
     # SSE equals the root SSE minus the accumulated split gains
     if config.tree_params.learning_rate == 1.0:
         root_sse = float(((target - target.mean()) ** 2).sum())
         return max(root_sse - float(tree.split_gain.sum()), 0.0) / target.shape[0]
-    return float(((target - tree.value[leaf_of_row]) ** 2).mean())
+    return float(((target - predict_tree(tree, Z)) ** 2).mean())
 
 
 def _train(train: Dataset, config: DbtConfig,
@@ -273,9 +274,9 @@ def _train(train: Dataset, config: DbtConfig,
         rng = streams.stream(config.seed, domain, t)
         eps = rng.standard_normal(setup.m)
         target = step(setup, sched, trees, t, eps, rng)
-        trees[t], leaf_of_row = _grow_tree(setup.Z, target, setup.kinds_z,
-                                           config.tree_params, setup.presorted)
-        log[t] = _training_mse(trees[t], leaf_of_row, target, config)
+        trees[t] = fit_tree(setup.Z, target, setup.kinds_z, config.tree_params,
+                            presorted=setup.presorted)
+        log[t] = _training_mse(trees[t], setup.Z, target, config)
 
     return DbtModel(
         schedule=sched, mean_est=setup.mean_est, step_trees=tuple(trees[1:]),

@@ -65,10 +65,12 @@ _ENSEMBLE_DTYPES = dict(_NODE_FIELDS, tree_offsets="<i8", is_categorical="u1",
                         cat_len="<i8", cat_values="<i8")
 
 
-def _check_ensemble(prefix, arrays, cat_feature):
+def _check_ensemble(prefix, arrays, cat_feature, max_code):
     """Raise ``ValueError`` unless the packed node tables of one ensemble
     describe trees that prediction can walk; ``cat_feature[f]`` says whether
-    input column f is categorical.
+    input column f is categorical, and category codes lie below ``max_code``
+    (the ensemble's ``max_categorical_cardinality``, which no grown split
+    reaches).
 
     Children come after their parent (as the writer lays them out), so every
     walk from a root ends at a leaf.
@@ -107,12 +109,12 @@ def _check_ensemble(prefix, arrays, cat_feature):
     if (cat_len < 0).any() or (cat_len[~is_cat] != 0).any() \
             or cat_len.sum() != a["cat_values"].shape[0]:
         fail("category set lengths do not match the stored codes")
-    if (a["cat_values"] < 0).any():
-        fail("negative category code")
+    if ((a["cat_values"] < 0) | (a["cat_values"] >= max_code)).any():
+        fail("category code out of range")
 
 
-def _unpack_ensemble(prefix, arrays, cat_feature):
-    _check_ensemble(prefix, arrays, cat_feature)
+def _unpack_ensemble(prefix, arrays, cat_feature, max_code):
+    _check_ensemble(prefix, arrays, cat_feature, max_code)
     n_features = cat_feature.shape[0]
     offs = arrays[f"{prefix}.tree_offsets"]
     cols = {name: arrays[f"{prefix}.{name}"] for name, _ in _NODE_FIELDS}
@@ -251,7 +253,8 @@ def _decode(header, blob) -> DbtModel:
                                   header["schedule"]["beta_end"])
     mean_est = MeanEstimator(
         base_score=header["mean_estimator"]["base_score"],
-        trees=tuple(_unpack_ensemble("mean", arrays, cat_feature)),
+        trees=tuple(_unpack_ensemble("mean", arrays, cat_feature,
+                                     mean_config.tree_params.max_categorical_cardinality)),
         shrinkage=header["mean_estimator"]["shrinkage"],
         loss=header["mean_estimator"]["loss"],
     )
@@ -260,7 +263,8 @@ def _decode(header, blob) -> DbtModel:
     std = header["standardization"]
     return DbtModel(
         schedule=sched, mean_est=mean_est,
-        step_trees=tuple(_unpack_ensemble("step", arrays, step_cat)),
+        step_trees=tuple(_unpack_ensemble("step", arrays, step_cat,
+                                          config.tree_params.max_categorical_cardinality)),
         config=config, mean_config=mean_config, columns=columns,
         response_name=header["schema"]["response"],
         target_standardization=None if std is None else tuple(std),

@@ -238,8 +238,7 @@ class _Fit:
         raw[over] = k + 1
         offsets = (k + 2) * np.arange(c)
         raw += offsets
-        # the narrowest integer type that holds every bin number
-        self.cat_codes = raw.astype(np.min_scalar_type(c * (k + 2) - 1))
+        self.cat_codes = raw.astype(np.intp)
         self.cat_k = k
         self.cat_miss_bins = offsets + k
         self.cat_ix = np.arange(c)[:, None]
@@ -286,7 +285,7 @@ class _Fit:
         c, k = len(self.cat_features), self.cat_k
         # only the root holds every row, in order
         leaf_codes = self.cat_codes if n == self.n else self.cat_codes[rows]
-        flat = leaf_codes.ravel().astype(np.intp)
+        flat = leaf_codes.ravel()
         cnt = np.bincount(flat, minlength=c * (k + 2)).reshape(c, k + 2)
         ysum = np.bincount(flat, weights=np.repeat(yc, c),
                            minlength=c * (k + 2)).reshape(c, k + 2)
@@ -460,11 +459,6 @@ def fit_tree(
     Ties between equal-gain splits resolve to the lower feature index, then
     the lower threshold (smaller category group), then default-left.
     """
-    return _grow_tree(features, targets, feature_kinds, params, presorted)[0]
-
-
-def _grow_tree(features, targets, feature_kinds, params, presorted=None):
-    """:func:`fit_tree` that also returns the leaf node id of every training row."""
     X = np.ascontiguousarray(features, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -552,12 +546,10 @@ def _grow_tree(features, targets, feature_kinds, params, presorted=None):
             open_leaves.append(child)
 
     lr = params.learning_rate
-    leaf_of_row = np.empty(n, dtype=np.int64)
     for leaf in open_leaves:
         nodes_value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
-        leaf_of_row[leaf.rows] = leaf.node_id
 
-    tree = DecisionTree(
+    return DecisionTree(
         feature=np.asarray(nodes_feature, dtype=np.int32),
         threshold=np.asarray(nodes_threshold, dtype=np.float64),
         left_categories=tuple(nodes_cats),
@@ -568,7 +560,6 @@ def _grow_tree(features, targets, feature_kinds, params, presorted=None):
         split_gain=np.asarray(nodes_gain, dtype=np.float64),
         n_features=p,
     )
-    return tree, leaf_of_row
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@ import pytest
 
 from diffboost.boosting import (
     LOGISTIC,
-    SQUARED,
     MeanEstimatorConfig,
-    _fit_with_fitted,
     fit_mean_estimator,
     predict_mean,
 )
-from diffboost.tree import CATEGORICAL, NUMERIC, TreeParams, predict_tree
+from diffboost.tree import NUMERIC, TreeParams, predict_tree
 
 
 def step_xy(n=200, hi=1.0):
@@ -117,22 +115,3 @@ def test_config_validation():
         MeanEstimatorConfig(shrinkage=0.0)
     with pytest.raises(ValueError):
         MeanEstimatorConfig(loss="huber")
-
-
-@pytest.mark.parametrize("loss", [SQUARED, LOGISTIC])
-def test_fitted_values_equal_predict_mean(loss):
-    rng = np.random.default_rng(12)
-    n = 300
-    X = np.column_stack([rng.normal(size=n), rng.integers(-1, 7, n).astype(float),
-                         rng.normal(size=n)])
-    X[rng.random(n) < 0.1, 1] = np.nan
-    X[rng.random(n) < 0.2, 2] = np.nan
-    signal = X[:, 0] + np.nan_to_num(X[:, 1]) * 0.3
-    y = (signal + rng.normal(size=n) > 1.0).astype(float) if loss == LOGISTIC else signal
-    config = MeanEstimatorConfig(n_trees=12, tree_params=SMALL_TREES, loss=loss)
-    kinds = [NUMERIC, CATEGORICAL, NUMERIC]
-    est, fitted = _fit_with_fitted(X, y, kinds, config)
-    assert np.array_equal(fitted, predict_mean(est, X))
-    again = fit_mean_estimator(X, y, kinds, config)
-    assert all(np.array_equal(a.value, b.value, equal_nan=True)
-               for a, b in zip(est.trees, again.trees))

@@ -205,9 +205,10 @@ def _patch_array(path, name, index, value):
     ("mean.feature", 0, -2),
     ("step.tree_offsets", 1, 10**6),
     ("mean.cat_values", 0, -3),
+    ("mean.cat_values", 0, 2**40),       # at or above max_categorical_cardinality
     ("step.is_categorical", 0, 1),       # a category set on a numeric split
 ], ids=["child_is_parent", "missing_child", "feature_99", "feature_negative",
-        "offset_past_end", "negative_category", "kind_mismatch"])
+        "offset_past_end", "negative_category", "huge_category", "kind_mismatch"])
 def test_corrupt_node_table_is_a_data_error(tmp_path, capsys, name, index, value):
     ds = mixed_dataset(seed=3)
     model = train_dbt(ds, DbtConfig(T=3, n_noise=4, tree_params=FAST, seed=2),

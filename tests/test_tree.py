@@ -6,7 +6,6 @@ from diffboost.tree import (
     CATEGORICAL,
     NUMERIC,
     TreeParams,
-    _grow_tree,
     apply_tree,
     fit_tree,
     gain_importance,
@@ -207,8 +206,8 @@ def test_error_contracts():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 160),
        n_block=st.integers(0, 2), n_sparse=st.integers(0, 2), n_cat=st.integers(0, 3),
        msl=st.integers(1, 6), lr=st.sampled_from([1.0, 0.3]), max_card=st.integers(3, 12))
-def test_grower_leaf_of_each_row_matches_apply_tree(seed, n, n_block, n_sparse, n_cat,
-                                                    msl, lr, max_card):
+def test_fit_partition_matches_apply_tree_routing(seed, n, n_block, n_sparse, n_cat,
+                                                  msl, lr, max_card):
     rng = np.random.default_rng(seed)
     cols, kinds = [rng.normal(size=n)], [NUMERIC]
     for _ in range(n_block):
@@ -227,12 +226,19 @@ def test_grower_leaf_of_each_row_matches_apply_tree(seed, n, n_block, n_sparse, 
     perm = rng.permutation(len(cols))
     X = np.column_stack([cols[i] for i in perm])
     kinds = [kinds[i] for i in perm]
-    y = np.nan_to_num(X).sum(axis=1) + rng.normal(size=n)
+    # integer targets: every leaf mean is exact whatever order its rows are summed in
+    y = (4 * np.nan_to_num(X).sum(axis=1) + rng.normal(size=n)).round()
     params = TreeParams(num_leaves=12, min_samples_leaf=msl, learning_rate=lr,
                         max_categorical_cardinality=max_card)
-    tree, leaf_of_row = _grow_tree(X, y, kinds, params)
-    assert np.array_equal(leaf_of_row, apply_tree(tree, X))
-    assert np.array_equal(tree.value[leaf_of_row], predict_tree(tree, X))
+    tree = fit_tree(X, y, kinds, params)
+    leaves = apply_tree(tree, X)
+    count = np.bincount(leaves, minlength=tree.n_nodes)
+    is_leaf = tree.feature < 0
+    # the rows the grower put in each leaf are the rows prediction routes there
+    assert np.array_equal(count > 0, is_leaf)
+    assert (count[is_leaf] >= min(msl, n)).all()
+    leaf_mean = np.bincount(leaves, weights=y, minlength=tree.n_nodes)[is_leaf] / count[is_leaf]
+    assert np.array_equal(tree.value[is_leaf], leaf_mean * lr)
 
 
 def test_identical_categorical_columns_split_on_the_lower_index():
