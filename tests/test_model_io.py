@@ -10,7 +10,8 @@ from diffboost import streams
 from diffboost.boosting import MeanEstimatorConfig
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.cli import main
-from diffboost.data import Column, Dataset, clf_toy_generate, save_csv, toy_generate
+from diffboost.data import (Column, Dataset, clf_toy_generate, mcar_mask, save_csv,
+                            toy_generate)
 from diffboost.dbt import BINARY, DbtConfig, sample_dbt, train_dbt
 from diffboost.model_io import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
 from diffboost.tree import CATEGORICAL, TreeParams
@@ -77,6 +78,7 @@ GOLDEN_SHA256 = {
     "dbt": "c8e714df51c15b0e830937c66bfab7f3ea157dc2ae778c761d0f082008413ebc",
     "card_t": "3d520c7dc59ce6643365e3ce32aabacd818b625c4224654a108e1a1756d2b9e3",
     "card_t_categorical": "14c5acefdabc33376a1415b86062e0bb7a6badaa60069e9392755e3c0a3c115c",
+    "dbt_mcar": "8287e1c5ed397f30aed4fd12de8decd2d5f70b0bad4f647a0300f265204a98df",
 }
 
 
@@ -116,6 +118,17 @@ def test_golden_file_bytes_categorical(tmp_path):
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         GOLDEN_SHA256["card_t_categorical"]
+
+
+def test_golden_file_bytes_missing_cells(tmp_path):
+    # every feature column has missing cells, and 31-leaf trees split on them often
+    deep = TreeParams(num_leaves=31, min_samples_leaf=3, learning_rate=0.5)
+    model = train_dbt(mcar_mask(toy_generate("a", 200, seed=17), 0.2, seed=17),
+                      DbtConfig(T=4, n_noise=3, tree_params=deep, seed=9),
+                      MeanEstimatorConfig(n_trees=3, tree_params=deep))
+    path = tmp_path / "dbt_mcar.dbtm"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["dbt_mcar"]
 
 
 def test_save_is_deterministic(tmp_path):
