@@ -9,12 +9,14 @@ one-step Newton estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .tree import (
+    NUMERIC,
     TreeParams,
+    _presort,
     apply_tree,
     fit_tree,
     predict_tree,
@@ -67,7 +69,6 @@ def fit_mean_estimator(
     y: np.ndarray,
     feature_kinds: Sequence[str],
     config: MeanEstimatorConfig = MeanEstimatorConfig(),
-    presorted: Optional[dict] = None,
 ) -> MeanEstimator:
     """Fit a boosted ensemble estimating E[y|x] (squared) or P(y=1|x) (logistic).
 
@@ -77,6 +78,8 @@ def fit_mean_estimator(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or len(feature_kinds) != X.shape[1]:
+        raise ValueError("X must be 2-D with one feature kind per column")
 
     if config.loss == LOGISTIC:
         classes = np.unique(y)
@@ -89,6 +92,8 @@ def fit_mean_estimator(
     else:
         base = float(y.mean())
 
+    # every stage's tree sees the same columns, so sort them once
+    presorted = _presort(X, [j for j, kind in enumerate(feature_kinds) if kind == NUMERIC])
     raw = np.full(y.shape[0], base)
     trees = []
     for _ in range(config.n_trees):

@@ -11,6 +11,7 @@ error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -138,8 +139,15 @@ def _sample_model(model, rows, s_count, seed):
     return sample(model, rows, s_count, streams.stream(seed, streams.DOMAIN_SAMPLING))
 
 
+@contextlib.contextmanager
 def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
+    """Yield the file at ``path``, opened for writing and closed afterwards,
+    or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +178,16 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     data = load_csv(args.data, response=args.response)
     out = _sample_model(model, data, args.samples, args.seed)
-    fh = _out_stream(args.out)
-    try:
-        if model.config.task == BINARY:
-            fh.write("row,sample,logit,probability\n")
-            prob = 1.0 / (1.0 + np.exp(-out))
-            for j in range(out.shape[0]):
-                for s in range(out.shape[1]):
-                    fh.write(f"{j},{s},{float(out[j, s])!r},{float(prob[j, s])!r}\n")
-        else:
-            fh.write("row,sample,value\n")
-            for j in range(out.shape[0]):
-                for s in range(out.shape[1]):
-                    fh.write(f"{j},{s},{float(out[j, s])!r}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if model.config.task == BINARY:
+        header, columns = "row,sample,logit,probability\n", (out, 1.0 / (1.0 + np.exp(-out)))
+    else:
+        header, columns = "row,sample,value\n", (out,)
+    with _out_stream(args.out) as fh:
+        fh.write(header)
+        for j in range(out.shape[0]):
+            # one write per response row; repr of a Python float round-trips exactly
+            cells = map(",".join, zip(*(map(repr, c[j].tolist()) for c in columns)))
+            fh.write("".join(f"{j},{s},{cell}\n" for s, cell in enumerate(cells)))
     return 0
 
 
@@ -244,17 +246,13 @@ def cmd_eval(args) -> int:
                 results = list(pool.map(_run_fold, jobs))
         else:
             results = [_run_fold(j) for j in jobs]
-        fh = _out_stream(args.out)
-        try:
+        with _out_stream(args.out) as fh:
             fh.write("metric,mean,std,folds,summary\n")
             for key in ("rmse", "nll", "qice"):
                 vals = np.array([r[key] for r in results])
                 std = vals.std(ddof=1) if len(vals) > 1 else float("nan")
                 fh.write(f"{key},{float(vals.mean())!r},{float(std)!r},{len(vals)},"
                          f"{format_mean_std(vals)}\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
         return 0
 
     if not args.model:
@@ -264,8 +262,7 @@ def cmd_eval(args) -> int:
     s_default = 10 if model.config.task == BINARY else 100
     s_count = args.samples or s_default
     samples = _sample_model(model, data, s_count, args.seed or model.config.seed)
-    fh = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as fh:
         if model.config.task == BINARY:
             report, thr = _eval_classification(model, data.y, samples, alphas,
                                                args.threshold)
@@ -283,9 +280,6 @@ def cmd_eval(args) -> int:
             else:
                 for k, v in vals.items():
                     fh.write(f"{k}: {v:.6g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -302,8 +296,7 @@ def cmd_importance(args) -> int:
         ts = sorted({max(1, round(f * T)) for f in (1.0, 0.8, 0.6, 0.4, 0.2)} | {1},
                     reverse=True)
     names = ["noisy_response"] + [c.name for c in model.columns] + ["mean_estimate"]
-    fh = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as fh:
         fh.write("timestep,feature_index,feature_name,gain\n")
         for t in ts:
             if not 1 <= t <= T:
@@ -312,9 +305,6 @@ def cmd_importance(args) -> int:
             order = np.argsort(-gains, kind="stable")
             for f in order:
                 fh.write(f"{t},{f},{names[f]},{float(gains[f])!r}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -324,14 +314,10 @@ def cmd_schedule(args) -> int:
     _echo_config("schedule", cfg)
     sched = build_linear_schedule(args.timesteps, args.beta_start, args.beta_end)
     tab = coefficient_table(sched)
-    fh = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as fh:
         fh.write("t,gamma0,gamma1,gamma2,tilde_beta\n")
         for row in tab:
             fh.write(f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r},{float(row[4])!r}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 

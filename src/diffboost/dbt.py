@@ -43,7 +43,7 @@ from .schedule import (
     posterior_sample,
     y0_from_noise,
 )
-from .tree import CATEGORICAL, NUMERIC, TreeParams, fit_tree, predict_tree
+from .tree import NUMERIC, TreeParams, _presort, fit_tree, predict_tree
 
 __all__ = [
     "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
@@ -198,12 +198,9 @@ class _TrainingSetup:
         self.Z[:, -1] = np.tile(fphi, reps)
         self.y0_rep = np.tile(y0, reps)
         self.mu_rep = np.tile(mu, reps)
-        # static columns keep the same order for every timestep's tree
-        self.presorted = {}
-        for j in range(1, self.Z.shape[1]):
-            if self.kinds_z[j] == CATEGORICAL or np.isnan(self.Z[:, j]).any():
-                continue
-            self.presorted[j] = np.argsort(self.Z[:, j], kind="stable").astype(np.int64)
+        # static numeric columns keep the same order for every timestep's tree
+        self.presorted = _presort(self.Z, [j for j, kind in enumerate(self.kinds_z)
+                                           if j > 0 and kind == NUMERIC])
 
 
 def _dbt_step(setup, sched, trees, t, eps, rng):

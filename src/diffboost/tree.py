@@ -7,6 +7,11 @@ side is frozen into the node as its default direction, so prediction never
 needs imputation.  Categorical features split on category sets, scanned in
 mean-target order.
 
+Each leaf is searched by three batched searches, one per kind of column:
+complete numeric columns, numeric columns with missing cells, and
+categorical columns.  Both numeric searches read one presorted leaf layout,
+so growing a tree sorts each numeric column once, at the root.
+
 Missing markers: NaN in any column; additionally any negative code in a
 categorical column (the reserved "unseen category" encoding) routes like a
 missing value.
@@ -86,27 +91,32 @@ class DecisionTree:
 # ---------------------------------------------------------------------------
 # fitting
 
+def _presort(X, columns):
+    """{column: row ids in ascending value order, missing cells last} (stable)."""
+    return {int(f): np.argsort(X[:, f], kind="stable").astype(np.int64) for f in columns}
+
+
 class _OpenLeaf:
     """Working state for a not-yet-finalized leaf during growth.
 
-    For "block" features (numeric, no missing cells anywhere) the leaf keeps
-    three (q, n) matrices aligned position-by-position: row ids, feature
-    values, and targets, each in per-feature ascending value order.  Keeping
+    Every numeric column is one row of three (q, n) matrices aligned
+    position-by-position: row ids, feature values, and targets, each in that
+    column's ascending value order with missing cells last.  Columns without
+    a missing cell anywhere in the fit come first, then the columns with
+    missing cells, whose counts of present cells are ``n_present``.  Keeping
     values resident avoids random gathers in the hot split search; partitions
     are order-preserving boolean compresses.
     """
 
-    __slots__ = ("node_id", "rows", "idx", "xv", "yv", "sparse_sorted", "n_present", "best")
+    __slots__ = ("node_id", "rows", "idx", "xv", "yv", "n_present", "best")
 
-    def __init__(self, node_id, rows, idx, xv, yv, sparse_sorted, n_present):
+    def __init__(self, node_id, rows, idx, xv, yv, n_present):
         self.node_id = node_id
         self.rows = rows
-        self.idx = idx                          # (q, n) int64 row ids or None
-        self.xv = xv                            # (q, n) float64 sorted values or None
-        self.yv = yv                            # (q, n) float64 targets in that order or None
-        # numeric features with missing cells: {feature: rows sorted, missing last}
-        self.sparse_sorted = sparse_sorted
-        self.n_present = n_present              # {feature: count of non-missing}
+        self.idx = idx                          # (q, n) int64 row ids
+        self.xv = xv                            # (q, n) float64 sorted values
+        self.yv = yv                            # (q, n) float64 targets in that order
+        self.n_present = n_present              # int64 per column with missing cells, or None
         self.best = None                        # (gain, feature, thr, cats, default_left)
 
 
@@ -132,68 +142,21 @@ def _goes_left(col, thr, cats, default_left):
     return left
 
 
-def _better_numeric(cand, best):
-    """Order: higher gain, then lower threshold, then default-left."""
-    if best is None:
-        return True
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    if cand[1] != best[1]:
-        return cand[1] < best[1]
-    return cand[2] and not best[2]
-
-
-def _best_numeric(xs, csum, n_miss, sum_miss, n, msl):
-    """Best cut of one numeric feature given values/centered-sums in sorted order.
-
-    Returns (gain, threshold, default_left) or None.  ``xs`` holds the present
-    values ascending, ``csum`` their centered-target prefix sums.  Candidate k
-    means "k present rows left"; the cuts isolating the missing rows on one
-    side are included when missing rows exist.
-    """
-    n_present = xs.shape[0]
-    best = None
-
-    if n_present >= 2:
-        k = np.arange(1, n_present)
-        valid = xs[1:] > xs[:-1]
-        sum_left = csum[:-1]
-        variants = (True,) if n_miss == 0 else (True, False)
-        for miss_left in variants:
-            n_l = k + (n_miss if miss_left else 0)
-            s_l = sum_left + (sum_miss if miss_left else 0.0)
-            n_r = n - n_l
-            ok = valid & (n_l >= msl) & (n_r >= msl)
-            if not ok.any():
-                continue
-            gain = np.where(ok, s_l * s_l / n_l + s_l * s_l / n_r, -np.inf)
-            i = int(np.argmax(gain))
-            g = float(gain[i])
-            if g <= 0:
-                continue
-            thr: float = 0.5 * (xs[i] + xs[i + 1])
-            if thr >= xs[i + 1]:        # midpoint rounded up onto the right value
-                thr = float(xs[i])
-            if _better_numeric((g, thr, miss_left), best):
-                best = (g, thr, miss_left)
-
-    # missing rows isolated on one side
-    if 0 < n_miss and n_miss >= msl and n - n_miss >= msl and n_present > 0:
-        g = sum_miss * sum_miss / n_miss + sum_miss * sum_miss / (n - n_miss)
-        if g > 0:
-            for thr, miss_left in ((-np.inf, True), (float(xs[-1]), False)):
-                if _better_numeric((g, thr, miss_left), best):
-                    best = (g, thr, miss_left)
-    return best
+def _midpoint(a, b):
+    """Threshold between sorted values a < b; the midpoint unless it rounds onto b."""
+    thr = 0.5 * (a + b)
+    return a if thr >= b else thr
 
 
 class _Fit:
     """Shared fitting state.
 
-    Numeric columns without any missing cell form a "block" evaluated with one
-    set of 2-D array passes per node; numeric columns containing missing cells
-    take a per-feature path; categorical columns are searched together with
-    one offset ``bincount`` per node.
+    Three split searches, each over all columns of its kind at once: numeric
+    columns without any missing cell (the "block") with uncentred prefix sums
+    and a table of reciprocals; numeric columns containing missing cells with
+    centred prefix sums, trying the missing rows on either side; categorical
+    columns with one offset ``bincount``.  Both numeric searches read one leaf
+    layout (see ``_OpenLeaf``).
     """
 
     def __init__(self, X, y, kinds, params):
@@ -203,11 +166,11 @@ class _Fit:
         self.params = params
         self.n, self.p = X.shape
         has_nan = np.isnan(X).any(axis=0)
-        self.block_features = np.flatnonzero(~self.is_cat & ~has_nan)
+        self.complete = ~self.is_cat & ~has_nan
+        self.block_features = np.flatnonzero(self.complete)
         self.sparse_features = np.flatnonzero(~self.is_cat & has_nan)
+        self.num_features = np.concatenate([self.block_features, self.sparse_features])
         self.cat_features = np.flatnonzero(self.is_cat)
-        self.block_pos = {int(f): j for j, f in enumerate(self.block_features)}
-        self.buf = np.empty(self.n)          # centered targets, addressed by row id
         self.mask = np.empty(self.n, dtype=bool)
         # reusable scratch for the block split search; sized once at the root
         q = max(len(self.block_features), 1)
@@ -217,8 +180,17 @@ class _Fit:
         self.cs_scratch = np.empty((q, self.n))
         self.gain_scratch = np.empty((q, self.n))
         self.valid_scratch = np.empty((q, self.n), dtype=bool)
+        self.sparse_ix = np.arange(len(self.sparse_features))
         if len(self.cat_features):
             self._encode_categorical()
+
+    def open_leaf(self, node_id, rows, idx, xv, yv):
+        """Wrap a leaf's layout, counting the present cells of each column
+        with missing cells (its NaNs sit at the end of its row)."""
+        n_present = None
+        if len(self.sparse_features):
+            n_present = rows.shape[0] - np.isnan(xv[len(self.block_features):]).sum(axis=1)
+        return _OpenLeaf(node_id, rows, idx, xv, yv, n_present)
 
     def _encode_categorical(self):
         """Code every categorical cell once, offset so that column j owns bins
@@ -247,16 +219,17 @@ class _Fit:
     def _best_in_block(self, leaf, n, mean, msl):
         """One vectorized pass over all complete numeric features."""
         lo, hi = msl, n - msl                  # legal left-side sizes
-        if lo > hi or leaf.idx is None:
+        q = len(self.block_features)
+        if lo > hi or not q:
             return None
-        q = leaf.idx.shape[0]
-        cs = np.cumsum(leaf.yv, axis=1, out=self.cs_scratch[:q, :n])
+        xv = leaf.xv[:q]
+        cs = np.cumsum(leaf.yv[:q], axis=1, out=self.cs_scratch[:q, :n])
         cs -= mean * self.k1[:n]               # prefix sums of centered targets
         s = cs[:, lo - 1:hi]
         gain = np.multiply(s, s, out=self.gain_scratch[:q, :hi - lo + 1])
         # 1/k + 1/(n-k) for left sizes k = lo..hi
         gain *= self.recip[lo - 1:hi] + self.recip[n - hi - 1:n - lo][::-1]
-        bad = np.less_equal(leaf.xv[:, lo:hi + 1], leaf.xv[:, lo - 1:hi],
+        bad = np.less_equal(xv[:, lo:hi + 1], xv[:, lo - 1:hi],
                             out=self.valid_scratch[:q, :hi - lo + 1])
         gain[bad] = -np.inf
         j = np.argmax(gain, axis=1)
@@ -266,11 +239,56 @@ class _Fit:
         if not np.isfinite(g) or g <= 0:
             return None
         k = int(j[f_loc]) + lo
-        a, b = float(leaf.xv[f_loc, k - 1]), float(leaf.xv[f_loc, k])
-        thr = 0.5 * (a + b)
-        if thr >= b:
-            thr = a
+        thr = _midpoint(float(xv[f_loc, k - 1]), float(xv[f_loc, k]))
         return (g, int(self.block_features[f_loc]), thr, None, True)
+
+    def _best_with_missing(self, leaf, n, mean, msl, min_gain):
+        """Best cut over all numeric columns with missing cells at once.
+
+        Per column, every boundary between distinct present values is a
+        candidate, with the missing rows on either side; the missing rows
+        alone on one side are two more candidates.  Returns (gain, feature,
+        threshold, None, default_left) for the best column (ties to the lower
+        feature) if its gain beats ``min_gain``, else None.
+        """
+        q = len(self.block_features)
+        xv, n_present = leaf.xv[q:], leaf.n_present
+        n_miss = n - n_present
+        cs = np.cumsum(leaf.yv[q:] - mean, axis=1)   # centred prefix sums, missing rows last
+        # centred sums over the whole leaf are zero; a column without present
+        # cells in the leaf has no candidate, whatever its sum reads
+        sum_miss = np.where(n_miss > 0, -cs[self.sparse_ix, n_present - 1], 0.0)
+        k = np.arange(1, n)                          # present rows left of each boundary
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            valid = xv[:, 1:] > xv[:, :-1]           # false past the present values (NaN)
+
+            def scan(n_l, s_l):
+                n_r = n - n_l
+                sq = s_l * s_l
+                gain = sq / n_l + sq / n_r
+                gain[~valid | (n_l < msl) | (n_r < msl)] = -np.inf
+                return gain, gain.argmax(axis=1)
+
+            # with no missing rows both variants coincide; the tie goes to missing-left
+            g_left, i_left = scan(k + n_miss[:, None], cs[:, :-1] + sum_miss[:, None])
+            g_right, i_right = scan(k, cs[:, :-1])
+            g_alone = np.where((n_miss >= msl) & (n_present >= msl),
+                               sum_miss * sum_miss / n_miss
+                               + sum_miss * sum_miss / n_present, -np.inf)
+        g_left, g_right = g_left[self.sparse_ix, i_left], g_right[self.sparse_ix, i_right]
+        g_col = np.maximum(np.maximum(g_left, g_right), g_alone)
+        j = int(np.argmax(g_col))
+        if not g_col[j] > min_gain:
+            return None
+        xs, il, ir = xv[j], i_left[j], i_right[j]
+        cands = ((g_left[j], _midpoint(xs[il], xs[il + 1]), True),
+                 (g_right[j], _midpoint(xs[ir], xs[ir + 1]), False),
+                 (g_alone[j], -np.inf, True),
+                 (g_alone[j], xs[n_present[j] - 1], False))
+        # within the column: higher gain, then lower threshold, then missing-left
+        g, thr, miss_left = max(cands, key=lambda c: (c[0], -c[1], c[2]))
+        return (float(g), int(self.sparse_features[j]), float(thr), None, miss_left)
 
     def _best_categorical(self, rows, yc, n, msl, min_gain):
         """Best category-set cut over all categorical columns at once.
@@ -340,7 +358,8 @@ class _Fit:
         """Find the best split of ``leaf`` and cache it on the leaf."""
         n = leaf.rows.shape[0]
         msl = self.params.min_samples_leaf
-        y_leaf = leaf.yv[0] if leaf.yv is not None else self.y[leaf.rows]
+        # summed in the first complete column's order, else in row order
+        y_leaf = leaf.yv[0] if len(self.block_features) else self.y[leaf.rows]
         if n < 2 * msl or y_leaf.min() == y_leaf.max():
             leaf.best = None
             return
@@ -351,29 +370,13 @@ class _Fit:
         best = self._best_in_block(leaf, n, mean, msl)
         if best is not None and best[0] <= min_gain:
             best = None
-
-        if len(self.sparse_features) or len(self.cat_features):
-            yc = (y_leaf if leaf.yv is None else self.y[leaf.rows]) - mean
-
+        cands = []
         if len(self.sparse_features):
-            self.buf[leaf.rows] = yc
-            for f in self.sparse_features:
-                idx = leaf.sparse_sorted[f]
-                n_present = leaf.n_present[f]
-                xs = self.X[idx[:n_present], f]
-                csum = np.cumsum(self.buf[idx[:n_present]])
-                n_miss = n - n_present
-                # centered sums over the whole leaf are zero
-                sum_miss = -float(csum[-1]) if (n_miss and n_present) else \
-                    (float(yc.sum()) if n_miss else 0.0)
-                r = _best_numeric(xs, csum, n_miss, sum_miss, n, msl)
-                if r is not None and r[0] > min_gain:
-                    cand = (r[0], int(f), r[1], None, r[2])
-                    if best is None or _better_split(cand, best):
-                        best = cand
-
+            cands.append(self._best_with_missing(leaf, n, mean, msl, min_gain))
         if len(self.cat_features):
-            cand = self._best_categorical(leaf.rows, yc, n, msl, min_gain)
+            cands.append(self._best_categorical(leaf.rows, self.y[leaf.rows] - mean,
+                                                n, msl, min_gain))
+        for cand in cands:
             if cand is not None and (best is None or _better_split(cand, best)):
                 best = cand
         leaf.best = best
@@ -381,13 +384,14 @@ class _Fit:
     def split(self, leaf: _OpenLeaf, node_left: int, node_right: int):
         """Partition ``leaf`` by its cached best split into two open leaves."""
         gain, f, thr, cats, default_left = leaf.best
-        block_pos = self.block_pos.get(f)
 
-        if cats is None and block_pos is not None:
-            # a block cut is a prefix of that feature's sort order
-            k = int(np.searchsorted(leaf.xv[block_pos], thr, side="right"))
-            rows_left = leaf.idx[block_pos, :k].copy()
-            rows_right = leaf.idx[block_pos, k:].copy()
+        if cats is None and self.complete[f]:
+            # a cut on a complete column is a prefix of that column's order,
+            # whose layout row is its rank among the complete columns
+            j = int(self.complete[:f].sum())
+            k = int(np.searchsorted(leaf.xv[j], thr, side="right"))
+            rows_left = leaf.idx[j, :k].copy()
+            rows_right = leaf.idx[j, k:].copy()
             self.mask[rows_left] = True
             self.mask[rows_right] = False
         else:
@@ -396,46 +400,23 @@ class _Fit:
             rows_left = leaf.rows[go_left]
             rows_right = leaf.rows[~go_left]
 
-        n_l, n_r = rows_left.shape[0], rows_right.shape[0]
-        if leaf.idx is not None:
-            keep = self.mask[leaf.idx]
-            q = leaf.idx.shape[0]
-            idx_l = leaf.idx[keep].reshape(q, n_l)
-            idx_r = leaf.idx[~keep].reshape(q, n_r)
-            xv_l = leaf.xv[keep].reshape(q, n_l)
-            xv_r = leaf.xv[~keep].reshape(q, n_r)
-            yv_l = leaf.yv[keep].reshape(q, n_l)
-            yv_r = leaf.yv[~keep].reshape(q, n_r)
-        else:
-            idx_l = idx_r = xv_l = xv_r = yv_l = yv_r = None
-
-        sorted_l, sorted_r = {}, {}
-        present_l, present_r = {}, {}
-        for g, idx in leaf.sparse_sorted.items():
-            keep = self.mask[idx]
-            sorted_l[g] = idx[keep]
-            sorted_r[g] = idx[~keep]
-            old_np = leaf.n_present[g]
-            np_l = int(keep[:old_np].sum())
-            present_l[g] = np_l
-            present_r[g] = old_np - np_l
-
-        return (
-            _OpenLeaf(node_left, rows_left, idx_l, xv_l, yv_l, sorted_l, present_l),
-            _OpenLeaf(node_right, rows_right, idx_r, xv_r, yv_r, sorted_r, present_r),
-        )
+        q = leaf.idx.shape[0]
+        if not q:                               # no numeric column: the empty layout is never read
+            return [_OpenLeaf(node_left, rows_left, leaf.idx, leaf.xv, leaf.yv, None),
+                    _OpenLeaf(node_right, rows_right, leaf.idx, leaf.xv, leaf.yv, None)]
+        keep = self.mask[leaf.idx]
+        children = []
+        for node_id, rows, sel in ((node_left, rows_left, keep), (node_right, rows_right, ~keep)):
+            m = rows.shape[0]
+            children.append(self.open_leaf(node_id, rows, leaf.idx[sel].reshape(q, m),
+                                           leaf.xv[sel].reshape(q, m),
+                                           leaf.yv[sel].reshape(q, m)))
+        return children
 
 
 def _better_split(cand, best):
-    """Tie order across features: gain desc, feature asc, threshold asc."""
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    if cand[1] != best[1]:
-        return cand[1] < best[1]
-    ct, bt = cand[2], best[2]
-    if not (np.isnan(ct) or np.isnan(bt)) and ct != bt:
-        return ct < bt
-    return False
+    """Tie order across features: gain desc, then feature asc."""
+    return cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
 
 
 def fit_tree(
@@ -474,43 +455,26 @@ def fit_tree(
         raise ValueError(f"feature_kinds has {len(feature_kinds)} entries for {p} columns")
 
     ctx = _Fit(X, y, feature_kinds, params)
+    orders = dict(presorted or {})
+    orders.update(_presort(X, [f for f in ctx.num_features if f not in orders]))
+    root_idx = np.array([orders[f] for f in ctx.num_features], dtype=np.int64).reshape(-1, n)
+    root = ctx.open_leaf(0, np.arange(n, dtype=np.int64), root_idx,
+                         X[root_idx, ctx.num_features[:, None]], y[root_idx])
 
-    def _order(f):
-        if presorted is not None and f in presorted:
-            return np.asarray(presorted[f], dtype=np.int64)
-        return np.argsort(X[:, f], kind="stable").astype(np.int64)
+    # node table, sized for the most nodes a tree of num_leaves leaves can have
+    size = 2 * params.num_leaves - 1
+    feature = np.full(size, -1, dtype=np.int32)
+    threshold = np.full(size, np.nan)
+    left_categories = [None] * size
+    default_left = np.ones(size, dtype=bool)
+    children_left = np.full(size, -1, dtype=np.int32)
+    children_right = np.full(size, -1, dtype=np.int32)
+    value = np.full(size, np.nan)
+    split_gain = np.zeros(size)
+    n_nodes = 1
 
-    if len(ctx.block_features):
-        q = len(ctx.block_features)
-        root_idx = np.empty((q, n), dtype=np.int64)
-        root_xv = np.empty((q, n))
-        root_yv = np.empty((q, n))
-        for j, f in enumerate(ctx.block_features):
-            root_idx[j] = _order(f)
-            root_xv[j] = X[root_idx[j], f]
-            root_yv[j] = y[root_idx[j]]
-    else:
-        root_idx = root_xv = root_yv = None
-    root_sorted = {}
-    root_present = {}
-    for f in ctx.sparse_features:
-        root_sorted[f] = _order(f)
-        root_present[f] = n - int(np.isnan(X[:, f]).sum())
-
-    nodes_feature = [-1]
-    nodes_threshold = [np.nan]
-    nodes_cats = [None]
-    nodes_default_left = [True]
-    nodes_left = [-1]
-    nodes_right = [-1]
-    nodes_value = [np.nan]
-    nodes_gain = [0.0]
-
-    root = _OpenLeaf(0, np.arange(n, dtype=np.int64), root_idx, root_xv, root_yv,
-                     root_sorted, root_present)
     ctx.evaluate(root)
     open_leaves = [root]
-
     while len(open_leaves) < params.num_leaves:
         pick, pick_gain = None, 0.0
         for i, leaf in enumerate(open_leaves):
@@ -519,45 +483,29 @@ def fit_tree(
         if pick is None:
             break
         leaf = open_leaves.pop(pick)
-        gain, f, thr, cats, default_left = leaf.best
-
-        left_id = len(nodes_feature)
-        right_id = left_id + 1
-        nodes_feature[leaf.node_id] = f
-        nodes_threshold[leaf.node_id] = thr
-        nodes_cats[leaf.node_id] = cats
-        nodes_default_left[leaf.node_id] = default_left
-        nodes_left[leaf.node_id] = left_id
-        nodes_right[leaf.node_id] = right_id
-        nodes_value[leaf.node_id] = np.nan
-        nodes_gain[leaf.node_id] = gain
-        for _ in range(2):
-            nodes_feature.append(-1)
-            nodes_threshold.append(np.nan)
-            nodes_cats.append(None)
-            nodes_default_left.append(True)
-            nodes_left.append(-1)
-            nodes_right.append(-1)
-            nodes_value.append(np.nan)
-            nodes_gain.append(0.0)
-
-        for child in ctx.split(leaf, left_id, right_id):
+        node = leaf.node_id
+        (split_gain[node], feature[node], threshold[node], left_categories[node],
+         default_left[node]) = leaf.best
+        children_left[node], children_right[node] = n_nodes, n_nodes + 1
+        for child in ctx.split(leaf, n_nodes, n_nodes + 1):
             ctx.evaluate(child)
             open_leaves.append(child)
+        n_nodes += 2
 
     lr = params.learning_rate
     for leaf in open_leaves:
-        nodes_value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
+        value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
 
+    # copies, so that a kept tree holds no view of the preallocated table
     return DecisionTree(
-        feature=np.asarray(nodes_feature, dtype=np.int32),
-        threshold=np.asarray(nodes_threshold, dtype=np.float64),
-        left_categories=tuple(nodes_cats),
-        default_left=np.asarray(nodes_default_left, dtype=bool),
-        children_left=np.asarray(nodes_left, dtype=np.int32),
-        children_right=np.asarray(nodes_right, dtype=np.int32),
-        value=np.asarray(nodes_value, dtype=np.float64),
-        split_gain=np.asarray(nodes_gain, dtype=np.float64),
+        feature=feature[:n_nodes].copy(),
+        threshold=threshold[:n_nodes].copy(),
+        left_categories=tuple(left_categories[:n_nodes]),
+        default_left=default_left[:n_nodes].copy(),
+        children_left=children_left[:n_nodes].copy(),
+        children_right=children_right[:n_nodes].copy(),
+        value=value[:n_nodes].copy(),
+        split_gain=split_gain[:n_nodes].copy(),
         n_features=p,
     )
 

@@ -115,3 +115,10 @@ def test_config_validation():
         MeanEstimatorConfig(shrinkage=0.0)
     with pytest.raises(ValueError):
         MeanEstimatorConfig(loss="huber")
+
+
+def test_malformed_design_is_a_value_error():
+    with pytest.raises(ValueError):
+        fit_mean_estimator(np.zeros(5), np.zeros(5), [NUMERIC])
+    with pytest.raises(ValueError):
+        fit_mean_estimator(np.zeros((5, 2)), np.zeros(5), [NUMERIC])

@@ -121,6 +121,33 @@ def test_classification_pipeline(tmp_path, capsys):
     assert "blended deferral accuracy" in text
 
 
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_sample_csv_reads_back_bit_for_bit(tmp_path, task):
+    from diffboost import streams
+    from diffboost.data import clf_toy_generate
+    from diffboost.dbt import sample
+    from diffboost.model_io import load_model
+    ds = clf_toy_generate(120, seed=4) if task == "binary" else toy_generate("a", 120, seed=4)
+    data, model_path, out = tmp_path / "d.csv", str(tmp_path / "m.dbtm"), tmp_path / "s.csv"
+    save_csv(ds, data)
+    assert main(["train", "--data", str(data), "--out", model_path, "--task", task,
+                 *TRAIN_FLAGS]) == 0
+    assert main(["sample", "--model", model_path, "--data", str(data), "--samples", "5",
+                 "--seed", "9", "--out", str(out)]) == 0
+    draws = sample(load_model(model_path), load_csv(str(data)), 5,
+                   streams.stream(9, streams.DOMAIN_SAMPLING))
+    lines = out.read_text().splitlines()
+    header = "row,sample,logit,probability" if task == "binary" else "row,sample,value"
+    assert lines[0] == header
+    fields = [line.split(",") for line in lines[1:]]
+    assert [(int(f[0]), int(f[1])) for f in fields] == \
+        [(j, s) for j in range(draws.shape[0]) for s in range(draws.shape[1])]
+    values = np.array([[float(x) for x in f[2:]] for f in fields])
+    assert np.array_equal(values[:, 0], draws.ravel())
+    if task == "binary":
+        assert np.array_equal(values[:, 1], (1.0 / (1.0 + np.exp(-draws))).ravel())
+
+
 def test_importance_blocks(toy_csv, tmp_path, capsys):
     model_path = _train(toy_csv, tmp_path)
     capsys.readouterr()

@@ -241,15 +241,17 @@ def test_fit_partition_matches_apply_tree_routing(seed, n, n_block, n_sparse, n_
     assert np.array_equal(tree.value[is_leaf], leaf_mean * lr)
 
 
-def test_identical_categorical_columns_split_on_the_lower_index():
+@pytest.mark.parametrize("kind,missing", [(CATEGORICAL, True), (NUMERIC, True), (NUMERIC, False)],
+                         ids=["categorical", "numeric_missing", "numeric_complete"])
+def test_identical_columns_split_on_the_lower_index(kind, missing):
     rng = np.random.default_rng(10)
     codes = rng.integers(0, 6, 400).astype(float)
     y = np.array([0.0, 2.0, -1.0, 3.0, 1.0, 5.0])[codes.astype(int)] \
         + rng.normal(scale=0.1, size=400)
-    codes[rng.random(400) < 0.1] = np.nan
+    if missing:
+        codes[rng.random(400) < 0.1] = np.nan
     X = np.column_stack([rng.normal(size=400), codes, codes])
-    tree = fit_tree(X, y, [NUMERIC, CATEGORICAL, CATEGORICAL],
-                    TreeParams(num_leaves=10, min_samples_leaf=5))
+    tree = fit_tree(X, y, [NUMERIC, kind, kind], TreeParams(num_leaves=10, min_samples_leaf=5))
     assert tree.feature[0] == 1
     assert 2 not in set(tree.feature)
 
