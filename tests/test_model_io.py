@@ -79,6 +79,7 @@ GOLDEN_SHA256 = {
     "card_t": "3d520c7dc59ce6643365e3ce32aabacd818b625c4224654a108e1a1756d2b9e3",
     "card_t_categorical": "14c5acefdabc33376a1415b86062e0bb7a6badaa60069e9392755e3c0a3c115c",
     "dbt_mcar": "8287e1c5ed397f30aed4fd12de8decd2d5f70b0bad4f647a0300f265204a98df",
+    "cli_card_t": "990fad27b116570f9faa62ea54a5cacdb43f6aa14431267f7fbdec5fa651f47e",
 }
 
 
@@ -129,6 +130,25 @@ def test_golden_file_bytes_missing_cells(tmp_path):
     path = tmp_path / "dbt_mcar.dbtm"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["dbt_mcar"]
+
+
+def test_golden_file_bytes_cli(tmp_path):
+    # every training setting but ``task`` off its default, some from a config
+    # file and some from flags, with the flags overriding two file values
+    data = tmp_path / "a.csv"
+    save_csv(toy_generate("a", 120, seed=21), data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# golden run\nmodel-kind=card_t\ntimesteps=9\nn-noise=3\n"
+                   "num-leaves=7\nbeta-start=0.0002\nbeta-end = 0.05\n"
+                   "prior-mean=zero\nmean-trees=3\nmean-leaves=5\nseed=4\n")
+    path = tmp_path / "cli_card_t.dbtm"
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(path),
+                 "--timesteps", "5", "--min-samples-leaf", "6", "--learning-rate", "0.7",
+                 "--prototype-epsilon", "0.02", "--mean-shrinkage", "0.2",
+                 "--mcar-rate", "0.15", "--seed", "8"]) == 0
+    model = load_model(path)
+    assert (model.kind, model.config.T, model.config.seed) == ("card_t", 5, 8)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["cli_card_t"]
 
 
 def test_save_is_deterministic(tmp_path):
