@@ -15,6 +15,7 @@ import contextlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .data import (
     save_csv,
     toy_generate,
 )
-from .dbt import BINARY, DbtConfig, REGRESSION, classify, sample, train_dbt
+from .dbt import (BINARY, CARD_T, DBT, PRIOR_MEAN_ESTIMATOR, PRIOR_ZERO, REGRESSION,
+                  DbtConfig, classify, sample, train_dbt)
 from .metrics import (
     deferral_report,
     format_mean_std,
@@ -45,27 +47,39 @@ from .model_io import ModelFormatError, load_model, save_model
 from .schedule import build_linear_schedule, coefficient_table
 from .tree import TreeParams, gain_importance
 
-_TRAIN_DEFAULTS = {
-    "model-kind": "dbt",
-    "task": REGRESSION,
-    "timesteps": 1000,
-    "n-noise": 100,
-    "num-leaves": 101,
-    "min-samples-leaf": 20,
-    "learning-rate": 1.0,
-    "beta-start": 1e-4,
-    "beta-end": 0.02,
-    "prior-mean": "mean_estimator",
-    "prototype-epsilon": 0.01,
-    "mean-trees": 100,
-    "mean-leaves": 31,
-    "mean-shrinkage": 0.05,
-    "mcar-rate": 0.0,
-    "seed": 0,
+
+class _Setting(NamedTuple):
+    type: type
+    default: object
+    choices: tuple = ()
+
+
+_DBT, _MEAN = DbtConfig(), MeanEstimatorConfig()
+
+# The training settings of ``train`` and ``eval --folds``.  Each key is both a
+# flag (with ``--``) and a config-file key; the defaults are the library's.
+_SETTINGS = {
+    "model-kind": _Setting(str, DBT, (DBT, CARD_T)),
+    "task": _Setting(str, _DBT.task, (REGRESSION, BINARY)),
+    "timesteps": _Setting(int, _DBT.T),
+    "n-noise": _Setting(int, _DBT.n_noise),
+    "num-leaves": _Setting(int, _DBT.tree_params.num_leaves),
+    "min-samples-leaf": _Setting(int, _DBT.tree_params.min_samples_leaf),
+    "learning-rate": _Setting(float, _DBT.tree_params.learning_rate),
+    "beta-start": _Setting(float, _DBT.beta_start),
+    "beta-end": _Setting(float, _DBT.beta_end),
+    "prior-mean": _Setting(str, _DBT.prior_mean_mode, (PRIOR_MEAN_ESTIMATOR, PRIOR_ZERO)),
+    "prototype-epsilon": _Setting(float, _DBT.prototype_epsilon),
+    "mean-trees": _Setting(int, _MEAN.n_trees),
+    "mean-leaves": _Setting(int, _MEAN.tree_params.num_leaves),
+    "mean-shrinkage": _Setting(float, _MEAN.shrinkage),
+    "mcar-rate": _Setting(float, 0.0),
+    "seed": _Setting(int, _DBT.seed),
 }
 
 
 def _read_config_file(path):
+    """Settings from a flat ``key=value`` file, each value checked like its flag."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -73,24 +87,28 @@ def _read_config_file(path):
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in _SETTINGS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind, _, choices = _SETTINGS[key]
+        try:
+            out[key] = kind(text)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: {key}: invalid {kind.__name__} value: "
+                            f"{text!r}") from None
+        if choices and out[key] not in choices:
+            raise DataError(f"{path}:{lineno}: {key}: invalid choice: {text!r} "
+                            f"(choose from {', '.join(choices)})")
     return out
 
 
-def _effective_config(args, extra_keys=()):
-    """defaults <- config file <- explicit flags; values kept as strings/nums."""
-    cfg = dict(_TRAIN_DEFAULTS)
-    for k in extra_keys:
-        cfg.setdefault(k, None)
-    if getattr(args, "config", None):
-        for k, v in _read_config_file(args.config).items():
-            if k not in cfg:
-                raise DataError(f"unknown config key {k!r}")
-            cfg[k] = v
+def _effective_config(args):
+    """defaults <- config file <- explicit flags, every value typed and checked."""
+    cfg = {k: s.default for k, s in _SETTINGS.items()}
+    if args.config:
+        cfg.update(_read_config_file(args.config))
     for k in cfg:
-        flag = k.replace("-", "_")
-        v = getattr(args, flag, None)
+        v = getattr(args, k.replace("-", "_"))
         if v is not None:
             cfg[k] = v
     return cfg
@@ -102,37 +120,30 @@ def _echo_config(cmd, cfg):
 
 
 def _build_configs(cfg):
-    task = str(cfg["task"])
-    loss = LOGISTIC if task == BINARY else SQUARED
+    leaf = cfg["min-samples-leaf"]
     dbt_cfg = DbtConfig(
-        T=int(cfg["timesteps"]),
-        n_noise=int(cfg["n-noise"]),
-        tree_params=TreeParams(
-            num_leaves=int(cfg["num-leaves"]),
-            min_samples_leaf=int(cfg["min-samples-leaf"]),
-            learning_rate=float(cfg["learning-rate"]),
-        ),
-        beta_start=float(cfg["beta-start"]),
-        beta_end=float(cfg["beta-end"]),
-        prior_mean_mode=str(cfg["prior-mean"]),
-        task=task,
-        prototype_epsilon=float(cfg["prototype-epsilon"]),
-        seed=int(cfg["seed"]),
-    )
+        T=cfg["timesteps"], n_noise=cfg["n-noise"],
+        tree_params=TreeParams(num_leaves=cfg["num-leaves"], min_samples_leaf=leaf,
+                               learning_rate=cfg["learning-rate"]),
+        beta_start=cfg["beta-start"], beta_end=cfg["beta-end"],
+        prior_mean_mode=cfg["prior-mean"], task=cfg["task"],
+        prototype_epsilon=cfg["prototype-epsilon"], seed=cfg["seed"])
     mean_cfg = MeanEstimatorConfig(
-        n_trees=int(cfg["mean-trees"]),
-        tree_params=TreeParams(num_leaves=int(cfg["mean-leaves"]),
-                               min_samples_leaf=int(cfg["min-samples-leaf"])),
-        shrinkage=float(cfg["mean-shrinkage"]),
-        loss=loss,
-    )
+        n_trees=cfg["mean-trees"], shrinkage=cfg["mean-shrinkage"],
+        tree_params=TreeParams(num_leaves=cfg["mean-leaves"], min_samples_leaf=leaf),
+        loss=LOGISTIC if cfg["task"] == BINARY else SQUARED)
     return dbt_cfg, mean_cfg
 
 
+def _training_data(args, cfg):
+    """The ``--data`` table with the configured share of feature cells missing."""
+    data = load_csv(args.data, response=args.response)
+    return mcar_mask(data, cfg["mcar-rate"], cfg["seed"])
+
+
 def _train_one(train_ds, model_kind, dbt_cfg, mean_cfg):
-    if model_kind == "card_t":
-        return train_card_t(train_ds, dbt_cfg, mean_cfg)
-    return train_dbt(train_ds, dbt_cfg, mean_cfg)
+    trainer = train_card_t if model_kind == CARD_T else train_dbt
+    return trainer(train_ds, dbt_cfg, mean_cfg)
 
 
 def _sample_model(model, rows, s_count, seed):
@@ -156,12 +167,9 @@ def _out_stream(path):
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
     _echo_config("train", cfg)
-    data = load_csv(args.data, response=args.response)
-    rate = float(cfg["mcar-rate"])
-    if rate > 0:
-        data = mcar_mask(data, rate, int(cfg["seed"]))
+    data = _training_data(args, cfg)
     dbt_cfg, mean_cfg = _build_configs(cfg)
-    model = _train_one(data, str(cfg["model-kind"]), dbt_cfg, mean_cfg)
+    model = _train_one(data, cfg["model-kind"], dbt_cfg, mean_cfg)
     for i, mse in enumerate(model.train_log):
         print(f"[train] t={dbt_cfg.T - i} mse={mse:.6g}", file=sys.stderr)
     out = args.out or str(Path(args.out_dir or ".") / "model.dbtm")
@@ -216,29 +224,21 @@ def _run_fold(packed):
 
 
 def cmd_eval(args) -> int:
-    cfg = _effective_config(args, extra_keys=("samples", "folds", "alpha"))
-    cfg["samples"] = args.samples
-    cfg["folds"] = args.folds
-    cfg["alpha"] = args.alpha
-    _echo_config("eval", cfg)
-    alphas = args.alpha or [0.05, 0.005]
-    bins = args.qice_bins
-
     if args.folds:
+        cfg = _effective_config(args)
+        _echo_config("eval", {**cfg, "samples": args.samples, "folds": args.folds,
+                              "alpha": args.alpha})
         if args.model:
             raise DataError("--folds retrains per fold; do not pass --model")
-        data = load_csv(args.data, response=args.response)
-        rate = float(cfg["mcar-rate"])
-        if rate > 0:
-            data = mcar_mask(data, rate, int(cfg["seed"]))
+        data = _training_data(args, cfg)
         dbt_cfg, mean_cfg = _build_configs(cfg)
         if dbt_cfg.task != REGRESSION:
             raise DataError("--folds mode currently evaluates regression metrics")
-        s_count = args.samples or 100
-        seed = int(cfg["seed"])
+        seed = cfg["seed"]
         jobs = [(data, SplitSpec(train_fraction=args.train_fraction, fold_seed=seed,
                                  fold_index=i),
-                 str(cfg["model-kind"]), dbt_cfg, mean_cfg, s_count, seed, bins)
+                 cfg["model-kind"], dbt_cfg, mean_cfg, args.samples or 100, seed,
+                 args.qice_bins)
                 for i in range(args.folds)]
         workers = args.threads or None
         if args.folds > 1 and (workers is None or workers > 1):
@@ -257,22 +257,29 @@ def cmd_eval(args) -> int:
 
     if not args.model:
         raise DataError("eval needs --model (or --folds for the retraining mode)")
+    given = [k for k in ("config", *_SETTINGS)
+             if k != "seed" and getattr(args, k.replace("-", "_")) is not None]
+    if given:
+        raise _UsageError(f"--{given[0]} is a training setting; eval --model takes only --seed")
     model = load_model(args.model)
+    task = model.config.task
+    s_count = args.samples or (10 if task == BINARY else 100)
+    seed = model.config.seed if args.seed is None else args.seed
+    _echo_config("eval", {"model": args.model, "data": args.data, "samples": s_count,
+                          "seed": seed})
     data = load_csv(args.data, response=args.response)
-    s_default = 10 if model.config.task == BINARY else 100
-    s_count = args.samples or s_default
-    samples = _sample_model(model, data, s_count, args.seed or model.config.seed)
+    samples = _sample_model(model, data, s_count, seed)
     with _out_stream(args.out) as fh:
-        if model.config.task == BINARY:
-            report, thr = _eval_classification(model, data.y, samples, alphas,
-                                               args.threshold)
+        if task == BINARY:
+            report, thr = _eval_classification(model, data.y, samples,
+                                               args.alpha or [0.05, 0.005], args.threshold)
             print(f"[eval] vote threshold: {thr}", file=sys.stderr)
             if args.csv:
                 fh.write(report.to_csv())
             else:
                 fh.write(report.to_text() + "\n")
         else:
-            vals = _eval_regression(data.y, samples, bins)
+            vals = _eval_regression(data.y, samples, args.qice_bins)
             if args.csv:
                 fh.write("metric,value\n")
                 for k, v in vals.items():
@@ -290,8 +297,6 @@ def cmd_importance(args) -> int:
     T = model.config.T
     if args.timesteps:
         ts = [int(x) for x in args.timesteps.split(",")]
-    elif T == 1000:
-        ts = [1000, 800, 600, 400, 200, 1]
     else:
         ts = sorted({max(1, round(f * T)) for f in (1.0, 0.8, 0.6, 0.4, 0.2)} | {1},
                     reverse=True)
@@ -347,23 +352,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_train_flags(p):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--model-kind", choices=["dbt", "card_t"])
-    p.add_argument("--task", choices=[REGRESSION, BINARY])
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--n-noise", type=int)
-    p.add_argument("--num-leaves", type=int)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--beta-start", type=float)
-    p.add_argument("--beta-end", type=float)
-    p.add_argument("--prior-mean", choices=["mean_estimator", "zero"])
-    p.add_argument("--prototype-epsilon", type=float)
-    p.add_argument("--mean-trees", type=int)
-    p.add_argument("--mean-leaves", type=int)
-    p.add_argument("--mean-shrinkage", type=float)
-    p.add_argument("--mcar-rate", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="flat key=value config file of training settings")
+    for key, setting in _SETTINGS.items():
+        p.add_argument(f"--{key}", type=setting.type, choices=setting.choices or None)
 
 
 def build_parser():
@@ -434,7 +425,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ModelFormatError, FileNotFoundError) as exc:
+    except (DataError, ModelFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+MISSING_SENTINEL = "NA"          # written for a missing cell; read as missing, like ""
+DELIMITER = ","
+_MISSING_CELLS = ("", MISSING_SENTINEL)
+
+
 class DataError(ValueError):
     """Malformed or inconsistent tabular data."""
 
@@ -97,20 +102,19 @@ def _parse_number(cell: str):
         return None
 
 
-def load_csv(path, schema_hint: Optional[dict] = None, *, missing_sentinel: str = "NA",
-             delimiter: str = ",", response: Optional[str] = None,
+def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str] = None,
              name: Optional[str] = None) -> Dataset:
     """Read a CSV with a header row; the last column is the response unless
     ``response`` names another one.
 
     A column is numeric when every non-missing cell parses as a number, else
-    categorical.  Empty cells and ``missing_sentinel`` are missing.  A sidecar
+    categorical.  Empty cells and ``NA`` are missing.  A sidecar
     schema file (``<path>.schema``) written by :func:`save_csv` fixes kinds and
     dictionary order; ``schema_hint`` ({column name: kind}) overrides inference.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh, delimiter=DELIMITER)
         try:
             header = next(reader)
         except StopIteration:
@@ -140,7 +144,7 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, missing_sentinel: str 
             kind, cats = sidecar[col_name]
             return kind, cats
         numeric = all(_parse_number(c) is not None
-                      for c in cells if c not in ("", missing_sentinel))
+                      for c in cells if c not in _MISSING_CELLS)
         return (NUMERIC if numeric else CATEGORICAL), None
 
     n = len(raw_rows)
@@ -152,7 +156,7 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, missing_sentinel: str 
         kind, fixed_cats = decide_kind(col_name, cells)
         if kind == NUMERIC:
             for i, c in enumerate(cells):
-                if c in ("", missing_sentinel):
+                if c in _MISSING_CELLS:
                     X[i, j] = np.nan
                 else:
                     v = _parse_number(c)
@@ -170,7 +174,7 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, missing_sentinel: str 
             else:
                 lookup, cats, frozen = {}, [], False
             for i, c in enumerate(cells):
-                if c in ("", missing_sentinel):
+                if c in _MISSING_CELLS:
                     X[i, j] = np.nan
                 elif c in lookup:
                     X[i, j] = lookup[c]
@@ -194,22 +198,21 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, missing_sentinel: str 
                    response_name=response_name)
 
 
-def save_csv(ds: Dataset, path, *, missing_sentinel: str = "NA", delimiter: str = ",",
-             write_schema: bool = True) -> None:
+def save_csv(ds: Dataset, path, *, write_schema: bool = True) -> None:
     """Write the dataset as CSV plus a ``<path>.schema`` sidecar fixing kinds
     and dictionary order, so a reload reproduces the dataset exactly."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh, delimiter=DELIMITER)
         writer.writerow([c.name for c in ds.columns] + [ds.response_name])
         for i in range(ds.n_rows):
             row = []
             for j, col in enumerate(ds.columns):
                 v = ds.X[i, j]
                 if math.isnan(v):
-                    row.append(missing_sentinel)
+                    row.append(MISSING_SENTINEL)
                 elif col.kind == CATEGORICAL:
-                    row.append(col.categories[int(v)] if v >= 0 else missing_sentinel)
+                    row.append(col.categories[int(v)] if v >= 0 else MISSING_SENTINEL)
                 else:
                     row.append(repr(float(v)))
             row.append(repr(float(ds.y[i])))

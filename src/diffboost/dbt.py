@@ -64,8 +64,7 @@ CARD_T = "card_t"
 class DbtConfig:
     T: int = 1000
     n_noise: int = 100
-    tree_params: TreeParams = field(default_factory=lambda: TreeParams(
-        num_leaves=101, min_samples_leaf=20, learning_rate=1.0))
+    tree_params: TreeParams = field(default_factory=TreeParams)
     beta_start: float = 1e-4
     beta_end: float = 0.02
     prior_mean_mode: str = PRIOR_MEAN_ESTIMATOR

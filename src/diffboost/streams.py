@@ -9,7 +9,6 @@ import numpy as np
 DOMAIN_DBT_TRAIN = 1
 DOMAIN_CARD_T_TRAIN = 2
 DOMAIN_SAMPLING = 3
-DOMAIN_MEAN_ESTIMATOR = 4
 
 
 def stream(base_seed: int, *tags: int) -> np.random.Generator:

@@ -461,8 +461,8 @@ def fit_tree(
     root = ctx.open_leaf(0, np.arange(n, dtype=np.int64), root_idx,
                          X[root_idx, ctx.num_features[:, None]], y[root_idx])
 
-    # node table, sized for the most nodes a tree of num_leaves leaves can have
-    size = 2 * params.num_leaves - 1
+    # node table, sized for the most nodes the tree can have: every leaf holds a row
+    size = 2 * min(params.num_leaves, n) - 1
     feature = np.full(size, -1, dtype=np.int32)
     threshold = np.full(size, np.nan)
     left_categories = [None] * size

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffboost.cli import main
 from diffboost.data import load_csv, save_csv, toy_generate
@@ -285,3 +286,141 @@ def test_classification_threshold_override(tmp_path, capsys):
     from diffboost.model_io import load_model
     rate = load_model(model_path).train_positive_rate
     assert f"vote threshold: {rate}" in err
+
+
+def _scored(model_path, data_path, s_count, seed):
+    from diffboost import streams
+    from diffboost.dbt import sample
+    from diffboost.metrics import nll, qice, rmse
+    from diffboost.model_io import load_model
+    data = load_csv(data_path)
+    draws = sample(load_model(model_path), data, s_count,
+                   streams.stream(seed, streams.DOMAIN_SAMPLING))
+    return {"rmse": rmse(data.y, draws), "nll": nll(data.y, draws),
+            "qice": qice(data.y, draws, 10)}
+
+
+def test_eval_model_seed_zero_is_seed_zero(toy_csv, tmp_path, capsys):
+    model_path = _train(toy_csv, tmp_path, "--seed", "5")
+    capsys.readouterr()
+    printed = {}
+    for seed in ("0", "5"):
+        assert main(["eval", "--model", model_path, "--data", toy_csv, "--samples", "20",
+                     "--seed", seed, "--csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        printed[seed] = {k: float(v) for k, v in rows}
+    assert printed["0"] == _scored(model_path, toy_csv, 20, 0)
+    assert printed["5"] == _scored(model_path, toy_csv, 20, 5)
+    assert printed["0"] != printed["5"]
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--timesteps", "9"], "--timesteps"),
+    (["--mcar-rate", "0.5"], "--mcar-rate"),
+    (["--seed", "1", "--model-kind", "card_t"], "--model-kind"),
+    (["--config", "run.cfg"], "--config"),
+], ids=["timesteps", "mcar_rate", "model_kind", "config"])
+def test_eval_model_rejects_training_settings(toy_csv, tmp_path, capsys, extra, flag):
+    model_path = _train(toy_csv, tmp_path)
+    (tmp_path / "run.cfg").write_text("seed=2\n")
+    capsys.readouterr()
+    extra = [str(tmp_path / e) if e == "run.cfg" else e for e in extra]
+    assert main(["eval", "--model", model_path, "--data", toy_csv, *extra]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", "model-kind=card-t"),
+    ("train", "timesteps=ten"),
+    ("train", "prior-mean=zeroo"),
+    ("train", "num-leaves=1.5"),
+    ("eval", "samples=3"),
+    ("eval", "folds=2"),
+])
+def test_bad_config_value_is_a_data_error(toy_csv, tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\nn-noise = 3\n{line}\n")
+    out = tmp_path / "m.dbtm"
+    argv = (["train", "--out", str(out)] if command == "train"
+            else ["eval", "--folds", "2", "--threads", "1"])
+    assert main([*argv, "--data", toy_csv, "--config", str(cfg), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    key = line.partition("=")[0]
+    assert f"{cfg}:3: " in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: p.mkdir(),
+    lambda p: p.write_bytes(b"seed=\xff\n"),
+], ids=["directory", "not_utf8"])
+def test_unreadable_config_file_is_a_data_error(toy_csv, tmp_path, capsys, make):
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    assert main(["train", "--data", toy_csv, "--config", str(cfg),
+                 "--out", str(tmp_path / "m.dbtm")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_setting_defaults_are_the_library_defaults():
+    from diffboost.boosting import MeanEstimatorConfig
+    from diffboost.cli import _build_configs, _effective_config, build_parser
+    from diffboost.dbt import DbtConfig
+    args = build_parser().parse_args(["train", "--data", "d.csv"])
+    assert _build_configs(_effective_config(args)) == (DbtConfig(), MeanEstimatorConfig())
+
+
+def _typed_value(key):
+    from diffboost.cli import _SETTINGS
+    kind, _, choices = _SETTINGS[key]
+    if choices:
+        return st.sampled_from(choices)
+    if kind is int:
+        return st.one_of(st.integers(-3, 200), st.integers(0, 30).map(lambda k: 10**k),
+                         st.integers(-10**30, 10**30)).map(str)
+    return st.one_of(st.floats(0, 1), st.floats()).map(repr)
+
+
+_ANY_VALUE = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e400", "0", "-1", "0.5", "1_000", " 7 "]),
+    st.text(max_size=12))
+_CONFIG_KEYS = ["model-kind", "task", "timesteps", "n-noise", "num-leaves",
+                "min-samples-leaf", "learning-rate", "beta-start", "beta-end", "prior-mean",
+                "prototype-epsilon", "mean-trees", "mean-leaves", "mean-shrinkage",
+                "mcar-rate", "seed"]
+# mostly well-typed lines, so that most files reach the library's own checks
+_CONFIG_LINE = st.one_of(
+    *[st.sampled_from(_CONFIG_KEYS).flatmap(
+        lambda k: st.tuples(st.just(k), st.sampled_from(["=", " = "]), _typed_value(k)))] * 4,
+    st.tuples(st.sampled_from([*_CONFIG_KEYS, "samples", "# seed"]),
+              st.sampled_from(["=", ":", ""]), _ANY_VALUE),
+).map("".join)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINE, max_size=6),
+       junk=st.one_of(*[st.just("")] * 3,
+                      st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)))
+def test_fuzzed_config_file_never_exits_3(tmp_path, capsys, lines, junk):
+    data, cfg, out = tmp_path / "d.csv", tmp_path / "run.cfg", tmp_path / "m.dbtm"
+    if not data.exists():
+        save_csv(toy_generate("a", 40, seed=6), data)
+    cfg.write_text("\n".join([*lines, junk]), encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out),
+               "--timesteps", "2", "--n-noise", "1", "--mean-trees", "1"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    assert "internal error" not in err
+
+
+def test_leaf_counts_beyond_the_row_count_train(tmp_path):
+    # the node table is sized by the rows, not by num_leaves (10**12 leaves would
+    # ask for terabytes)
+    data, out = tmp_path / "d.csv", tmp_path / "m.dbtm"
+    save_csv(toy_generate("a", 40, seed=6), data)
+    assert main(["train", "--data", str(data), "--out", str(out), "--timesteps", "2",
+                 "--n-noise", "1", "--mean-trees", "1", "--num-leaves", str(10**12),
+                 "--mean-leaves", str(10**12), "--min-samples-leaf", "1"]) == 0
