@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from diffboost.cli import main
+from diffboost.cli import _SETTINGS, main
 from diffboost.data import load_csv, save_csv, toy_generate
 
 
@@ -373,7 +373,6 @@ def test_setting_defaults_are_the_library_defaults():
 
 
 def _typed_value(key):
-    from diffboost.cli import _SETTINGS
     kind, _, choices = _SETTINGS[key]
     if choices:
         return st.sampled_from(choices)
@@ -386,15 +385,11 @@ def _typed_value(key):
 _ANY_VALUE = st.one_of(
     st.sampled_from(["", "nan", "-inf", "1e400", "0", "-1", "0.5", "1_000", " 7 "]),
     st.text(max_size=12))
-_CONFIG_KEYS = ["model-kind", "task", "timesteps", "n-noise", "num-leaves",
-                "min-samples-leaf", "learning-rate", "beta-start", "beta-end", "prior-mean",
-                "prototype-epsilon", "mean-trees", "mean-leaves", "mean-shrinkage",
-                "mcar-rate", "seed"]
 # mostly well-typed lines, so that most files reach the library's own checks
 _CONFIG_LINE = st.one_of(
-    *[st.sampled_from(_CONFIG_KEYS).flatmap(
+    *[st.sampled_from(list(_SETTINGS)).flatmap(
         lambda k: st.tuples(st.just(k), st.sampled_from(["=", " = "]), _typed_value(k)))] * 4,
-    st.tuples(st.sampled_from([*_CONFIG_KEYS, "samples", "# seed"]),
+    st.tuples(st.sampled_from([*_SETTINGS, "samples", "# seed"]),
               st.sampled_from(["=", ":", ""]), _ANY_VALUE),
 ).map("".join)
 
