@@ -42,8 +42,8 @@ class MeanEstimatorConfig:
     def __post_init__(self):
         if self.n_trees < 0:
             raise ValueError("n_trees must be >= 0")
-        if not self.shrinkage > 0:
-            raise ValueError("shrinkage must be > 0")
+        if not 0 < self.shrinkage < np.inf:
+            raise ValueError("shrinkage must be finite and > 0")
         if self.loss not in (SQUARED, LOGISTIC):
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -224,12 +225,14 @@ def _run_fold(packed):
 
 
 def cmd_eval(args) -> int:
-    if args.folds:
+    if args.folds is not None:
         cfg = _effective_config(args)
-        _echo_config("eval", {**cfg, "samples": args.samples, "folds": args.folds,
-                              "alpha": args.alpha})
-        if args.model:
-            raise DataError("--folds retrains per fold; do not pass --model")
+        _echo_config("eval", {**cfg, "samples": args.samples, "folds": args.folds})
+        given = [k for k in ("model", "threshold", "alpha", "csv") if getattr(args, k) is not None]
+        if given:
+            raise _UsageError(f"--{given[0]} is a single-model flag; --folds retrains per fold")
+        if args.folds < 1 or args.threads is not None and args.threads < 1:
+            raise _UsageError("--folds and --threads must be >= 1")
         data = _training_data(args, cfg)
         dbt_cfg, mean_cfg = _build_configs(cfg)
         if dbt_cfg.task != REGRESSION:
@@ -240,8 +243,9 @@ def cmd_eval(args) -> int:
                  cfg["model-kind"], dbt_cfg, mean_cfg, args.samples or 100, seed,
                  args.qice_bins)
                 for i in range(args.folds)]
-        workers = args.threads or None
-        if args.folds > 1 and (workers is None or workers > 1):
+        cpus = os.cpu_count() or 1
+        workers = min(args.threads or cpus, args.folds, cpus)
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_fold, jobs))
         else:
@@ -391,7 +395,7 @@ def build_parser():
     p.add_argument("--folds", type=int, help="retrain across this many folds")
     p.add_argument("--train-fraction", type=float, default=0.9)
     p.add_argument("--threads", type=int)
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
+    p.add_argument("--csv", action="store_true", default=None, help="emit CSV instead of text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

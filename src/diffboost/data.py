@@ -114,12 +114,13 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=DELIMITER)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        raw_rows = list(reader)
+            rows = list(csv.reader(fh, delimiter=DELIMITER))
+        except (csv.Error, UnicodeDecodeError) as exc:   # e.g. a cell past the size limit
+            raise DataError(f"{path}: {exc}") from None
+    if not rows or not rows[0]:
+        raise DataError(f"{path}: no header row")
+    header, raw_rows = rows[0], rows[1:]
     if not raw_rows:
         raise DataError(f"{path}: no data rows")
     if len(set(header)) != len(header):
@@ -141,8 +142,7 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
         if schema_hint is not None and col_name in schema_hint:
             return schema_hint[col_name], None
         if sidecar is not None and col_name in sidecar:
-            kind, cats = sidecar[col_name]
-            return kind, cats
+            return sidecar[col_name]
         numeric = all(_parse_number(c) is not None
                       for c in cells if c not in _MISSING_CELLS)
         return (NUMERIC if numeric else CATEGORICAL), None
@@ -167,12 +167,9 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
                     X[i, j] = v
             columns.append(Column(col_name, NUMERIC))
         else:
-            if fixed_cats is not None:
-                lookup = {c: k for k, c in enumerate(fixed_cats)}
-                cats = list(fixed_cats)
-                frozen = True
-            else:
-                lookup, cats, frozen = {}, [], False
+            frozen = fixed_cats is not None
+            cats = list(fixed_cats or ())
+            lookup = {c: k for k, c in enumerate(cats)}
             for i, c in enumerate(cells):
                 if c in _MISSING_CELLS:
                     X[i, j] = np.nan
@@ -233,28 +230,23 @@ def _write_schema(ds: Dataset, path: Path) -> None:
 
 
 def _read_schema(path: Path):
+    """{column name: (kind, categories or None)} from a sidecar, or None."""
     if not path.exists():
         return None
-    fields: dict = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        fields[key] = value
-    out = {}
-    j = 0
+    fields = dict(line.partition("=")[::2] for line in path.read_text().splitlines()
+                  if line.strip())
+    out, j = {}, 0
     while f"column.{j}.name" in fields:
-        cname = fields[f"column.{j}.name"]
-        kind = fields[f"column.{j}.kind"]
+        kind, cats = fields.get(f"column.{j}.kind"), None
+        if kind not in (NUMERIC, CATEGORICAL):
+            raise DataError(f"{path}: column.{j}.kind is {kind!r}, "
+                            f"expected {NUMERIC} or {CATEGORICAL}")
         if kind == CATEGORICAL:
             cats = []
-            k = 0
-            while f"column.{j}.category.{k}" in fields:
-                cats.append(fields[f"column.{j}.category.{k}"])
-                k += 1
-            out[cname] = (kind, tuple(cats))
-        else:
-            out[cname] = (kind, None)
+            while f"column.{j}.category.{len(cats)}" in fields:
+                cats.append(fields[f"column.{j}.category.{len(cats)}"])
+            cats = tuple(cats)
+        out[fields[f"column.{j}.name"]] = (kind, cats)
         j += 1
     return out
 
@@ -323,6 +315,7 @@ _TOY_A_OFFSETS = (0.0, 4.0, -4.0)
 _TOY_B_BOXES = (((0.0, 1.0), (3.0, 4.0)),
                 ((5.0, 6.0), (8.0, 9.0)),
                 ((-4.0, -3.0), (-1.0, 0.0)))
+_CLF_NOISY_FRACTION = 0.5         # share of clf_toy_generate's rows in the noisy region
 
 
 def toy_a_segment_mean(u):
@@ -386,7 +379,7 @@ def toy_generate(task: str, n: int, seed: int) -> Dataset:
 
 
 def clf_toy_generate(n: int, seed: int, *, noisy_error: float = 0.25,
-                     positive_rate: float = 0.5, noisy_fraction: float = 0.5) -> Dataset:
+                     positive_rate: float = 0.5) -> Dataset:
     """Binary task with a separable clean region and a noisy region of known
     accuracy ceiling.
 
@@ -398,7 +391,7 @@ def clf_toy_generate(n: int, seed: int, *, noisy_error: float = 0.25,
     if n < 2:
         raise DataError("n must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
-    noisy = rng.random(n) < noisy_fraction
+    noisy = rng.random(n) < _CLF_NOISY_FRACTION
     x0 = rng.uniform(0.0, 1.0, size=n) + noisy
     y = (rng.random(n) < positive_rate).astype(float)
     flipped = np.where(noisy & (rng.random(n) < noisy_error), 1.0 - y, y)

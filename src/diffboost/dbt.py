@@ -357,6 +357,8 @@ def sample(model: DbtModel, rows, s_count: int,
     if model.target_standardization is not None:
         m, s = model.target_standardization
         out = out * s + m
+    if not np.isfinite(out).all():
+        raise ValueError("the samples are not all finite")
     return out
 
 

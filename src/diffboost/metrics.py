@@ -18,6 +18,9 @@ __all__ = [
 ]
 
 _SIGMA_FLOOR = 1e-6
+_PIW_PERCENTILES = (2.5, 97.5)   # the central 95% prediction interval
+_MAX_DISTINCT_PIW_BINS = 16      # deferral tables bin by distinct width up to this many
+_MEAN_STD_FORMAT = ".2f"
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -77,13 +80,11 @@ def qice(truth, samples, n_bins: int = 10) -> float:
     return float(np.abs(props - 1.0 / n_bins).mean() * 100.0)
 
 
-def piw(samples, lo: float = 2.5, hi: float = 97.5) -> np.ndarray:
-    """Per-row prediction interval width between two percentiles
-    (linear-interpolation definition)."""
-    if not 0.0 <= lo < hi <= 100.0:
-        raise ValueError("need 0 <= lo < hi <= 100")
+def piw(samples) -> np.ndarray:
+    """Per-row width of the central 95% interval, from the 2.5th to the
+    97.5th percentile (linear-interpolation definition)."""
     s = _as_matrix(samples)
-    q = np.percentile(s, [lo, hi], axis=1)
+    q = np.percentile(s, _PIW_PERCENTILES, axis=1)
     return q[1] - q[0]
 
 
@@ -210,8 +211,7 @@ class DeferralReport:
 
 
 def deferral_report(labels_true, labels_pred, piws,
-                    ttests: Dict[float, np.ndarray],
-                    max_distinct_piw_bins: int = 16) -> DeferralReport:
+                    ttests: Dict[float, np.ndarray]) -> DeferralReport:
     """Build the deferral tables from aligned per-row arrays.
 
     ``ttests`` maps a significance level to the per-row reject decision.  PIW
@@ -242,7 +242,7 @@ def deferral_report(labels_true, labels_pred, piws,
 
     distinct = np.unique(w)
     piw_bins = []
-    if distinct.shape[0] <= max_distinct_piw_bins:
+    if distinct.shape[0] <= _MAX_DISTINCT_PIW_BINS:
         for v in distinct:
             sel = w == v
             acc, n = _acc(sel, correct)
@@ -286,9 +286,9 @@ def deferral_report(labels_true, labels_pred, piws,
                           by_class_ttest=by_class_ttest, blended_accuracy=blended)
 
 
-def format_mean_std(values: Sequence[float], digits: int = 2) -> str:
+def format_mean_std(values: Sequence[float]) -> str:
     """``mean ± std`` across folds, the usual benchmark-table presentation."""
     v = np.asarray(values, dtype=float)
     if v.shape[0] == 1:
-        return f"{v[0]:.{digits}f} ± NA"
-    return f"{v.mean():.{digits}f} ± {v.std(ddof=1):.{digits}f}"
+        return f"{v[0]:{_MEAN_STD_FORMAT}} ± NA"
+    return f"{v.mean():{_MEAN_STD_FORMAT}} ± {v.std(ddof=1):{_MEAN_STD_FORMAT}}"

@@ -7,10 +7,10 @@ side is frozen into the node as its default direction, so prediction never
 needs imputation.  Categorical features split on category sets, scanned in
 mean-target order.
 
-Each leaf is searched by three batched searches, one per kind of column:
-complete numeric columns, numeric columns with missing cells, and
-categorical columns.  Both numeric searches read one presorted leaf layout,
-so growing a tree sorts each numeric column once, at the root.
+Two batched scans search each leaf: the block search over numeric columns
+without missing cells, and ``_best_cut``, which owns the missing-value policy,
+over numeric columns with missing cells and categorical columns.  Both numeric
+searches read one presorted leaf layout, sorted once at the root.
 
 Missing markers: NaN in any column; additionally any negative code in a
 categorical column (the reserved "unseen category" encoding) routes like a
@@ -56,8 +56,8 @@ class TreeParams:
             raise ValueError("num_leaves must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,61 @@ def _midpoint(a, b):
     return a if thr >= b else thr
 
 
+def _best_cut(n, msl, min_gain, n_l, s_l, dead, ix, n_miss, sum_miss, alone_ok):
+    """Best cut of a leaf's ``n`` rows over a batch of columns whose present
+    rows stand in ordered positions.  Cut ``i`` of column ``j`` leaves
+    ``i + 1`` positions left, holding ``n_l[j, i]`` present rows whose centred
+    targets sum to ``s_l[j, i]``, unless ``dead[j, i]``.  The column's
+    ``n_miss[j]`` missing rows (summing to ``sum_miss[j]``; None: no missing
+    row in the leaf) go left or right of each cut, or, where ``alone_ok``,
+    alone on the left (0 positions; alone on the right is the same partition
+    and loses the tie).  Each side needs ``msl`` rows; the gain is
+    ``s*s/n_l + s*s/n_r``.
+
+    Returns (column, gain, positions left, missing left) of the best cut if
+    its gain beats ``min_gain``, else None.  Tie order: gain, then lower
+    column, then fewer positions left, then missing-left.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def scan(n_l, s_l):
+            # each column's best cut: (gain, positions left); argmax keeps the first
+            n_r = n - n_l
+            sq = s_l * s_l
+            gain = sq / n_l + sq / n_r
+            gain[dead | (n_l < msl) | (n_r < msl)] = -np.inf
+            i = gain.argmax(axis=1)
+            return gain[ix, i], i + 1
+
+        if sum_miss is None:                         # missing-left and -right coincide
+            g_left, p_left = scan(n_l, s_l)
+            g_col = g_left
+        else:
+            g_left, p_left = scan(n_l + n_miss[:, None], s_l + sum_miss[:, None])
+            g_right, p_right = scan(n_l, s_l)
+            n_rest = n - n_miss
+            g_alone = np.where(alone_ok & (n_miss >= msl) & (n_rest >= msl),
+                               sum_miss * sum_miss / n_miss + sum_miss * sum_miss / n_rest,
+                               -np.inf)
+            g_col = np.maximum(np.maximum(g_left, g_right), g_alone)
+    j = int(np.argmax(g_col))
+    if not g_col[j] > min_gain:
+        return None
+    cands = [(g_left[j], p_left[j], True)]
+    if sum_miss is not None:
+        cands += [(g_right[j], p_right[j], False), (g_alone[j], 0, True)]
+    g, pos, miss_left = max(cands, key=lambda c: (c[0], -c[1], c[2]))
+    return j, float(g), int(pos), miss_left
+
+
 class _Fit:
     """Shared fitting state.
 
-    Three split searches, each over all columns of its kind at once: numeric
-    columns without any missing cell (the "block") with uncentred prefix sums
-    and a table of reciprocals; numeric columns containing missing cells with
-    centred prefix sums, trying the missing rows on either side; categorical
-    columns with one offset ``bincount``.  Both numeric searches read one leaf
-    layout (see ``_OpenLeaf``).
+    Two searches, each over a batch of columns at once.  Numeric columns
+    without any missing cell (the "block") use uncentred prefix sums and a
+    table of reciprocals.  Numeric columns containing missing cells (centred
+    prefix sums) and categorical columns (one offset ``bincount``) feed
+    ``_best_cut``.  Both numeric searches read one leaf layout (see
+    ``_OpenLeaf``).
     """
 
     def __init__(self, X, y, kinds, params):
@@ -213,14 +259,15 @@ class _Fit:
         self.cat_codes = raw.astype(np.intp)
         self.cat_k = k
         self.cat_miss_bins = offsets + k
-        self.cat_ix = np.arange(c)[:, None]
+        self.cat_ix = np.arange(c)
         self.cat_cuts = np.arange(k - 1)
 
-    def _best_in_block(self, leaf, n, mean, msl):
-        """One vectorized pass over all complete numeric features."""
+    def _best_in_block(self, leaf, n, mean, msl, min_gain):
+        """One vectorized pass over all complete numeric features; the best
+        cut (ties to the lower feature) if its gain beats ``min_gain``."""
         lo, hi = msl, n - msl                  # legal left-side sizes
         q = len(self.block_features)
-        if lo > hi or not q:
+        if lo > hi:
             return None
         xv = leaf.xv[:q]
         cs = np.cumsum(leaf.yv[:q], axis=1, out=self.cs_scratch[:q, :n])
@@ -236,21 +283,16 @@ class _Fit:
         g_best = gain[np.arange(q), j]
         f_loc = int(np.argmax(g_best))
         g = float(g_best[f_loc])
-        if not np.isfinite(g) or g <= 0:
+        if not g > min_gain:
             return None
         k = int(j[f_loc]) + lo
         thr = _midpoint(float(xv[f_loc, k - 1]), float(xv[f_loc, k]))
         return (g, int(self.block_features[f_loc]), thr, None, True)
 
     def _best_with_missing(self, leaf, n, mean, msl, min_gain):
-        """Best cut over all numeric columns with missing cells at once.
-
-        Per column, every boundary between distinct present values is a
-        candidate, with the missing rows on either side; the missing rows
-        alone on one side are two more candidates.  Returns (gain, feature,
-        threshold, None, default_left) for the best column (ties to the lower
-        feature) if its gain beats ``min_gain``, else None.
-        """
+        """``_best_cut`` over the numeric columns with missing cells: positions
+        are present values in ascending order, a cut's threshold is the
+        midpoint, and missing rows alone on the left cut at -inf."""
         q = len(self.block_features)
         xv, n_present = leaf.xv[q:], leaf.n_present
         n_miss = n - n_present
@@ -258,51 +300,23 @@ class _Fit:
         # centred sums over the whole leaf are zero; a column without present
         # cells in the leaf has no candidate, whatever its sum reads
         sum_miss = np.where(n_miss > 0, -cs[self.sparse_ix, n_present - 1], 0.0)
-        k = np.arange(1, n)                          # present rows left of each boundary
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            valid = xv[:, 1:] > xv[:, :-1]           # false past the present values (NaN)
-
-            def scan(n_l, s_l):
-                n_r = n - n_l
-                sq = s_l * s_l
-                gain = sq / n_l + sq / n_r
-                gain[~valid | (n_l < msl) | (n_r < msl)] = -np.inf
-                return gain, gain.argmax(axis=1)
-
-            # with no missing rows both variants coincide; the tie goes to missing-left
-            g_left, i_left = scan(k + n_miss[:, None], cs[:, :-1] + sum_miss[:, None])
-            g_right, i_right = scan(k, cs[:, :-1])
-            g_alone = np.where((n_miss >= msl) & (n_present >= msl),
-                               sum_miss * sum_miss / n_miss
-                               + sum_miss * sum_miss / n_present, -np.inf)
-        g_left, g_right = g_left[self.sparse_ix, i_left], g_right[self.sparse_ix, i_right]
-        g_col = np.maximum(np.maximum(g_left, g_right), g_alone)
-        j = int(np.argmax(g_col))
-        if not g_col[j] > min_gain:
+        dead = ~(xv[:, 1:] > xv[:, :-1])             # also past the present values (NaN)
+        best = _best_cut(n, msl, min_gain, self.k1[:n - 1], cs[:, :-1], dead, self.sparse_ix,
+                         n_miss, sum_miss, True)
+        if best is None:
             return None
-        xs, il, ir = xv[j], i_left[j], i_right[j]
-        cands = ((g_left[j], _midpoint(xs[il], xs[il + 1]), True),
-                 (g_right[j], _midpoint(xs[ir], xs[ir + 1]), False),
-                 (g_alone[j], -np.inf, True),
-                 (g_alone[j], xs[n_present[j] - 1], False))
-        # within the column: higher gain, then lower threshold, then missing-left
-        g, thr, miss_left = max(cands, key=lambda c: (c[0], -c[1], c[2]))
-        return (float(g), int(self.sparse_features[j]), float(thr), None, miss_left)
+        j, g, pos, miss_left = best
+        thr = _midpoint(xv[j, pos - 1], xv[j, pos]) if pos else -np.inf
+        return (g, int(self.sparse_features[j]), float(thr), None, miss_left)
 
-    def _best_categorical(self, rows, yc, n, msl, min_gain):
-        """Best category-set cut over all categorical columns at once.
-
-        Per column, categories are ordered by mean target (ties by code) and
-        every prefix of that order is a candidate left set, with the missing
-        rows on either side; the missing rows alone on one side are two more
-        candidates.  Returns (gain, feature, nan, cats, default_left) for the
-        best column (ties to the lower feature) if its gain beats
-        ``min_gain``, else None.
-        """
+    def _best_categorical(self, leaf, n, mean, msl, min_gain):
+        """``_best_cut`` over the categorical columns: positions are present
+        categories by mean target (ties by code), a left set is a prefix, and
+        a column holding a code at or above the cardinality cap has no cut."""
         c, k = len(self.cat_features), self.cat_k
+        yc = self.y[leaf.rows] - mean
         # only the root holds every row, in order
-        leaf_codes = self.cat_codes if n == self.n else self.cat_codes[rows]
+        leaf_codes = self.cat_codes if n == self.n else self.cat_codes[leaf.rows]
         flat = leaf_codes.ravel()
         cnt = np.bincount(flat, minlength=c * (k + 2)).reshape(c, k + 2)
         ysum = np.bincount(flat, weights=np.repeat(yc, c),
@@ -316,42 +330,22 @@ class _Fit:
         means = np.full((c, k), np.inf)
         np.divide(ysum, cnt, out=means, where=present)
         order = np.argsort(means, axis=1, kind="stable")
-        cum_n = np.cumsum(cnt[self.cat_ix, order], axis=1)[:, :-1]
-        cum_s = np.cumsum(ysum[self.cat_ix, order], axis=1)[:, :-1]
+        cum_n = np.cumsum(cnt[self.cat_ix[:, None], order], axis=1)[:, :-1]
+        cum_s = np.cumsum(ysum[self.cat_ix[:, None], order], axis=1)[:, :-1]
         g_count = present.sum(axis=1)
         dead = (self.cat_cuts >= (g_count - 1)[:, None]) | ~usable[:, None]
-
-        def scan(n_l, s_l, miss_left):
-            # each column's best prefix cut: (gain, left set size, missing left)
-            n_r = n - n_l
-            sq = s_l * s_l
-            gain = sq / n_l + sq / n_r
-            gain[dead | (n_l < msl) | (n_r < msl)] = -np.inf
-            return gain.max(axis=1), gain.argmax(axis=1) + 1, miss_left
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if not n_miss.any():
-                cands = [scan(cum_n, cum_s, True)]
-            else:
-                sum_miss = np.zeros(c)
-                for j in np.flatnonzero(n_miss):
-                    # np.sum rounds pairwise, unlike the missing bin's running sum
-                    sum_miss[j] = yc[leaf_codes[:, j] == self.cat_miss_bins[j]].sum()
-                alone = usable & (n_miss >= msl) & (n - n_miss >= msl)
-                g_alone = np.where(alone, sum_miss * sum_miss / n_miss
-                                   + sum_miss * sum_miss / (n - n_miss), -np.inf)
-                cands = [scan(cum_n + n_miss[:, None], cum_s + sum_miss[:, None], True),
-                         scan(cum_n, cum_s, False),
-                         (g_alone, np.zeros_like(g_count), True), (g_alone, g_count, False)]
-        g_col = np.max([g for g, _, _ in cands], axis=0)
-        j = int(np.argmax(g_col))
-        if not g_col[j] > min_gain:
+        sum_miss = None
+        if n_miss.any():
+            sum_miss = np.zeros(c)
+            for j in np.flatnonzero(n_miss):
+                # np.sum rounds pairwise, unlike the missing bin's running sum
+                sum_miss[j] = yc[leaf_codes[:, j] == self.cat_miss_bins[j]].sum()
+        best = _best_cut(n, msl, min_gain, cum_n, cum_s, dead, self.cat_ix,
+                         n_miss, sum_miss, usable)
+        if best is None:
             return None
-        # within the column: higher gain, then fewer left categories, then
-        # missing-left (no two candidates tie on all three)
-        g, n_left, miss_left = max(((float(g[j]), int(n_l[j]), ml) for g, n_l, ml in cands),
-                                   key=lambda r: (r[0], -r[1], r[2]))
-        cats = np.sort(order[j, :n_left]).astype(np.int64)
+        j, g, pos, miss_left = best
+        cats = np.sort(order[j, :pos]).astype(np.int64)
         return (g, int(self.cat_features[j]), np.nan, cats, miss_left)
 
     def evaluate(self, leaf: _OpenLeaf):
@@ -367,19 +361,16 @@ class _Fit:
         sse = float(y_leaf @ y_leaf) - n * mean * mean
         min_gain = _MIN_GAIN_REL * max(sse, 0.0)
 
-        best = self._best_in_block(leaf, n, mean, msl)
-        if best is not None and best[0] <= min_gain:
-            best = None
         cands = []
+        if len(self.block_features):
+            cands.append(self._best_in_block(leaf, n, mean, msl, min_gain))
         if len(self.sparse_features):
             cands.append(self._best_with_missing(leaf, n, mean, msl, min_gain))
         if len(self.cat_features):
-            cands.append(self._best_categorical(leaf.rows, self.y[leaf.rows] - mean,
-                                                n, msl, min_gain))
-        for cand in cands:
-            if cand is not None and (best is None or _better_split(cand, best)):
-                best = cand
-        leaf.best = best
+            cands.append(self._best_categorical(leaf, n, mean, msl, min_gain))
+        # across features: higher gain, then the lower feature
+        leaf.best = max((c for c in cands if c is not None),
+                        key=lambda c: (c[0], -c[1]), default=None)
 
     def split(self, leaf: _OpenLeaf, node_left: int, node_right: int):
         """Partition ``leaf`` by its cached best split into two open leaves."""
@@ -412,11 +403,6 @@ class _Fit:
                                            leaf.xv[sel].reshape(q, m),
                                            leaf.yv[sel].reshape(q, m)))
         return children
-
-
-def _better_split(cand, best):
-    """Tie order across features: gain desc, then feature asc."""
-    return cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
 
 
 def fit_tree(
@@ -495,6 +481,8 @@ def fit_tree(
     lr = params.learning_rate
     for leaf in open_leaves:
         value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
+    if np.isinf(value).any():                  # internal nodes hold NaN
+        raise ValueError(f"a leaf value overflows at learning rate {lr!r}")
 
     # copies, so that a kept tree holds no view of the preallocated table
     return DecisionTree(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import diffboost.cli as cli
 from diffboost.cli import _SETTINGS, main
 from diffboost.data import load_csv, save_csv, toy_generate
 
@@ -419,3 +420,91 @@ def test_leaf_counts_beyond_the_row_count_train(tmp_path):
     assert main(["train", "--data", str(data), "--out", str(out), "--timesteps", "2",
                  "--n-noise", "1", "--mean-trees", "1", "--num-leaves", str(10**12),
                  "--mean-leaves", str(10**12), "--min-samples-leaf", "1"]) == 0
+
+
+@pytest.mark.parametrize("key,value", [("learning-rate", "inf"), ("learning-rate", "1e308"),
+                                       ("mean-shrinkage", "inf")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_settings_never_write_non_finite_samples(tmp_path, capsys, key, value,
+                                                            source):
+    data = tmp_path / "toy.csv"
+    save_csv(toy_generate("a", 120, seed=0), data)
+    if source == "flag":
+        setting = [f"--{key}", value]
+    else:
+        (tmp_path / "c.cfg").write_text(f"{key}={value}\n")
+        setting = ["--config", str(tmp_path / "c.cfg")]
+    model = str(tmp_path / "m.dbtm")
+    rc = main(["train", "--data", str(data), "--out", model, "--timesteps", "2",
+               "--n-noise", "1", "--mean-trees", "1", *setting])
+    if rc == 0:                      # finite leaves whose samples overflow
+        capsys.readouterr()
+        rc = main(["sample", "--model", model, "--data", str(data), "--samples", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("csv_text,sidecar", [
+    ("x0,y\n" + "7" * 200_000 + ",1\n2,3\n", None),
+    ("\n\n\n", None),
+    ("x0,y\n1,2\n3,4\n", "column.0.name=x0\n"),
+    ("x0,y\n1,2\n3,4\n", "column.0.name=x0\ncolumn.0.kind=bogus\n"),
+], ids=["oversized_cell", "blank_header", "sidecar_without_kind", "sidecar_unknown_kind"])
+def test_csv_boundary_is_a_data_error(tmp_path, capsys, csv_text, sidecar):
+    data = tmp_path / "d.csv"
+    data.write_text(csv_text)
+    if sidecar is not None:
+        (tmp_path / "d.csv.schema").write_text(sidecar)
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.dbtm"),
+               "--timesteps", "2", "--n-noise", "1", "--mean-trees", "1"])
+    assert rc == 2
+    assert str(data) in capsys.readouterr().err
+
+
+_SMALL_FOLD_FLAGS = ["--timesteps", "2", "--n-noise", "1", "--mean-trees", "1",
+                     "--num-leaves", "3", "--samples", "10"]
+
+
+@pytest.mark.parametrize("extra,flag", [(["--model", "m.dbtm"], "--model"),
+                                        (["--threshold", "0.3"], "--threshold"),
+                                        (["--alpha", "0.5"], "--alpha"),
+                                        (["--csv"], "--csv")])
+def test_eval_folds_rejects_single_model_flags(toy_csv, capsys, extra, flag):
+    rc = main(["eval", "--data", toy_csv, "--folds", "2", *_SMALL_FOLD_FLAGS, *extra])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, runs in-process."""
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("threads,folds,workers", [
+    (None, 3, 3), (64, 3, 3), (2, 5, 2), (64, 6, 4), (1, 3, None), (0, 3, "error"),
+    (-2, 3, "error"), (2, 0, "error")])
+def test_eval_folds_workers_are_capped(toy_csv, capsys, monkeypatch, threads, folds, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _RecordingPool.made.clear()
+    extra = [] if threads is None else ["--threads", str(threads)]
+    rc = main(["eval", "--data", toy_csv, "--folds", str(folds), *_SMALL_FOLD_FLAGS, *extra])
+    if workers == "error":
+        assert rc == 1 and "must be >= 1" in capsys.readouterr().err
+        assert _RecordingPool.made == []
+    else:
+        assert rc == 0
+        assert _RecordingPool.made == ([] if workers is None else [workers])

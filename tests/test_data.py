@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,28 @@ def test_reencode_unknown_category(tmp_path):
         reencode(test_ds, (Column("other", NUMERIC),))
     with pytest.raises(DataError, match="is categorical"):
         reencode(test_ds, (Column("c", NUMERIC),))
+
+
+_CELL = st.one_of(st.sampled_from(["", "NA", "nan", "inf", "1.5", "-2", "a", "x0", "y", '"', "\r"]),
+                  st.text(max_size=3))
+_SIDECAR_LINE = st.one_of(
+    st.tuples(st.sampled_from(["response", "column.0.name", "column.0.kind", "column.1.name",
+                               "column.1.kind", "column.0.category.0", "column.1.category.0"]),
+              st.one_of(st.sampled_from([NUMERIC, CATEGORICAL, "bogus", "", "a", "x0", "y"]),
+                        st.text(max_size=3))).map("=".join),
+    st.text(max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.lists(_CELL, max_size=4).map(",".join), max_size=5),
+       sidecar=st.one_of(st.none(), st.lists(_SIDECAR_LINE, max_size=5)))
+def test_fuzzed_csv_and_sidecar_load_or_raise_a_data_error(tmp_path_factory, lines, sidecar):
+    p = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    if sidecar is not None:
+        Path(f"{p}.schema").write_text("\n".join(sidecar), encoding="utf-8")
+    try:
+        ds = load_csv(p)
+    except DataError:
+        return
+    assert isinstance(ds, Dataset)

@@ -271,3 +271,37 @@ def test_column_over_cardinality_cap_is_never_split():
                                               max_categorical_cardinality=16))
     assert 0 not in set(capped.feature)
     assert 1 in set(capped.feature)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 160),
+       miss_rate=st.sampled_from([0.0, 0.1, 0.25, 0.4]), shift=st.sampled_from([-3.0, 0.0, 2.0, 9.0]),
+       msl=st.integers(1, 9))
+def test_numeric_and_categorical_codes_share_the_missing_policy(seed, n, miss_rate, shift, msl):
+    # with y rising in the code, the mean-target order of the categories is the
+    # code order, so both kinds search the same cuts under the same missing policy
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 6, n).astype(float)
+    y = codes + rng.normal(scale=0.3, size=n)
+    miss = rng.random(n) < miss_rate
+    codes[miss] = np.nan
+    y[miss] += shift
+    X = codes[:, None]
+    params = TreeParams(num_leaves=2, min_samples_leaf=msl)
+    num = fit_tree(X, y, [NUMERIC], params)
+    cat = fit_tree(X, y, [CATEGORICAL], params)
+    assert num.n_leaves == cat.n_leaves
+    if num.n_leaves == 2:
+        assert num.default_left[0] == cat.default_left[0]
+        assert num.split_gain[0] == pytest.approx(cat.split_gain[0], rel=1e-9)
+    goes_left = apply_tree(num, X) == num.children_left[0]
+    assert np.array_equal(goes_left, apply_tree(cat, X) == cat.children_left[0])
+
+
+def test_non_finite_learning_rate_or_leaf_value_is_rejected():
+    for lr in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError):
+            TreeParams(learning_rate=lr)
+    X, y = step_data()
+    with pytest.raises(ValueError, match="overflows"):
+        fit_tree(X, 3.0 * y, [NUMERIC], TreeParams(min_samples_leaf=5, learning_rate=1e308))
