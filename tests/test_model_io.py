@@ -12,7 +12,7 @@ from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.cli import main
 from diffboost.data import (Column, Dataset, clf_toy_generate, mcar_mask, save_csv,
                             toy_generate)
-from diffboost.dbt import BINARY, DbtConfig, sample_dbt, train_dbt
+from diffboost.dbt import BINARY, DbtConfig, sample, sample_dbt, train_dbt
 from diffboost.model_io import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
 from diffboost.tree import CATEGORICAL, TreeParams
 
@@ -83,12 +83,16 @@ GOLDEN_SHA256 = {
 }
 
 
+def golden_tiny(trainer):
+    tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
+    return trainer(mixed_dataset(n=40, seed=11),
+                   DbtConfig(T=4, n_noise=3, tree_params=tiny, seed=5),
+                   MeanEstimatorConfig(n_trees=3, tree_params=tiny))
+
+
 @pytest.mark.parametrize("kind,trainer", [("dbt", train_dbt), ("card_t", train_card_t)])
 def test_golden_file_bytes(tmp_path, kind, trainer):
-    tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
-    model = trainer(mixed_dataset(n=40, seed=11),
-                    DbtConfig(T=4, n_noise=3, tree_params=tiny, seed=5),
-                    MeanEstimatorConfig(n_trees=3, tree_params=tiny))
+    model = golden_tiny(trainer)
     path = tmp_path / f"{kind}.dbtm"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
@@ -109,24 +113,32 @@ def categorical_dataset(n=300, seed=13):
     return Dataset("cat_missing", cols, codes, y)
 
 
+def golden_categorical():
+    return train_card_t(categorical_dataset(),
+                        DbtConfig(T=3, n_noise=4, seed=7,
+                                  tree_params=TreeParams(num_leaves=15, min_samples_leaf=5)),
+                        MeanEstimatorConfig(n_trees=4, tree_params=TreeParams(
+                            num_leaves=31, min_samples_leaf=5)))
+
+
 def test_golden_file_bytes_categorical(tmp_path):
-    model = train_card_t(categorical_dataset(),
-                         DbtConfig(T=3, n_noise=4, seed=7,
-                                   tree_params=TreeParams(num_leaves=15, min_samples_leaf=5)),
-                         MeanEstimatorConfig(n_trees=4, tree_params=TreeParams(
-                             num_leaves=31, min_samples_leaf=5)))
+    model = golden_categorical()
     path = tmp_path / "card_t_categorical.dbtm"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         GOLDEN_SHA256["card_t_categorical"]
 
 
-def test_golden_file_bytes_missing_cells(tmp_path):
+def golden_mcar():
     # every feature column has missing cells, and 31-leaf trees split on them often
     deep = TreeParams(num_leaves=31, min_samples_leaf=3, learning_rate=0.5)
-    model = train_dbt(mcar_mask(toy_generate("a", 200, seed=17), 0.2, seed=17),
-                      DbtConfig(T=4, n_noise=3, tree_params=deep, seed=9),
-                      MeanEstimatorConfig(n_trees=3, tree_params=deep))
+    return train_dbt(mcar_mask(toy_generate("a", 200, seed=17), 0.2, seed=17),
+                     DbtConfig(T=4, n_noise=3, tree_params=deep, seed=9),
+                     MeanEstimatorConfig(n_trees=3, tree_params=deep))
+
+
+def test_golden_file_bytes_missing_cells(tmp_path):
+    model = golden_mcar()
     path = tmp_path / "dbt_mcar.dbtm"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["dbt_mcar"]
@@ -149,6 +161,39 @@ def test_golden_file_bytes_cli(tmp_path):
     model = load_model(path)
     assert (model.kind, model.config.T, model.config.seed) == ("card_t", 5, 8)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["cli_card_t"]
+
+
+# SHA-256 of the (M, S) float64 matrix that ``sample`` draws from a golden
+# model with a fixed stream.  A change to the sampler must leave these alone.
+GOLDEN_SAMPLE_SHA256 = {
+    "dbt": "66c47fdf3a6044de04f5af5c9edc5cb53d1f3d7cc6415d1a85ede24485307b4b",
+    "card_t": "4e07097415e7402fe0bc6b1c71cca05c228fef68368a422129d8c28dafd69a93",
+    "card_t_categorical": "d074cdc44cede6b7306e8de985afefa86d0f9d583d88004b3a2aff737a838ca9",
+    "dbt_mcar": "15257e0853da1ca1caa09e6b90522b578ccf6fe5a79c14ba93df095e0cc979e8",
+    "binary": "2b0326cb03bdfc40fd6baa94e852307b5c03e2a3c19e9a3c69cf93b9cec931d9",
+}
+
+
+def golden_binary():
+    return train_dbt(clf_toy_generate(300, seed=23),
+                     DbtConfig(T=6, n_noise=4, tree_params=FAST, task=BINARY, seed=6))
+
+
+GOLDEN_SAMPLE_CASES = {     # name: (model, held-out rows)
+    "dbt": (lambda: golden_tiny(train_dbt), lambda: mixed_dataset(n=30, seed=12)),
+    "card_t": (lambda: golden_tiny(train_card_t), lambda: mixed_dataset(n=30, seed=12)),
+    "card_t_categorical": (golden_categorical, lambda: categorical_dataset(n=40, seed=14)),
+    "dbt_mcar": (golden_mcar, lambda: mcar_mask(toy_generate("a", 40, seed=18), 0.2, seed=18)),
+    "binary": (golden_binary, lambda: clf_toy_generate(30, seed=24)),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SAMPLE_CASES)
+def test_golden_sample_bytes(name):
+    build, rows = GOLDEN_SAMPLE_CASES[name]
+    out = sample(build(), rows(), 25, streams.stream(31, 7))
+    assert out.shape[1] == 25 and out.dtype == np.float64
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[name]
 
 
 def test_save_is_deterministic(tmp_path):
