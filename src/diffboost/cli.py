@@ -238,7 +238,8 @@ def cmd_eval(args) -> int:
         if dbt_cfg.task != REGRESSION:
             raise DataError("--folds mode currently evaluates regression metrics")
         seed = cfg["seed"]
-        jobs = [(data, SplitSpec(train_fraction=args.train_fraction, fold_seed=seed,
+        fraction = SplitSpec.train_fraction if args.train_fraction is None else args.train_fraction
+        jobs = [(data, SplitSpec(train_fraction=fraction, fold_seed=seed,
                                  fold_index=i),
                  cfg["model-kind"], dbt_cfg, mean_cfg, args.samples or 100, seed,
                  args.qice_bins)
@@ -265,6 +266,10 @@ def cmd_eval(args) -> int:
              if k != "seed" and getattr(args, k.replace("-", "_")) is not None]
     if given:
         raise _UsageError(f"--{given[0]} is a training setting; eval --model takes only --seed")
+    given = [k for k in ("threads", "train-fraction")
+             if getattr(args, k.replace("-", "_")) is not None]
+    if given:
+        raise _UsageError(f"--{given[0]} is a --folds flag; eval --model retrains nothing")
     model = load_model(args.model)
     task = model.config.task
     s_count = args.samples or (10 if task == BINARY else 100)
@@ -393,7 +398,7 @@ def build_parser():
     p.add_argument("--qice-bins", type=int, default=10)
     p.add_argument("--threshold", type=float, help="vote threshold override")
     p.add_argument("--folds", type=int, help="retrain across this many folds")
-    p.add_argument("--train-fraction", type=float, default=0.9)
+    p.add_argument("--train-fraction", type=float, help="--folds only (default: 0.9)")
     p.add_argument("--threads", type=int)
     p.add_argument("--csv", action="store_true", default=None, help="emit CSV instead of text")
     p.add_argument("--out")

@@ -14,7 +14,10 @@ their noisy inputs come from in training:
 
 Both kinds share one trainer loop and one sampler, :func:`sample`: draw from
 the prior, estimate the clean response, draw the next noisy value from the
-tractable posterior, repeat.
+tractable posterior, repeat.  The S draws of a held-out row share every tree
+input but the noisy response, and a tree routes that value by its rank among
+the tree's thresholds on it, so the sampler routes each step tree once per
+(held-out row, rank) pair that occurs rather than once per draw.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .schedule import (
     posterior_sample,
     y0_from_noise,
 )
-from .tree import NUMERIC, TreeParams, _presort, fit_tree, predict_tree
+from .tree import NUMERIC, TreeParams, _predict_replicated, _presort, fit_tree, predict_tree
 
 __all__ = [
     "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
@@ -273,6 +276,8 @@ def _train(train: Dataset, config: DbtConfig,
         trees[t] = fit_tree(setup.Z, target, setup.kinds_z, config.tree_params,
                             presorted=setup.presorted)
         log[t] = _training_mse(trees[t], setup.Z, target, config)
+        if not np.isfinite(log[t]):
+            raise ValueError(f"the training MSE at t={t} is not finite ({log[t]!r})")
 
     return DbtModel(
         schedule=sched, mean_est=setup.mean_est, step_trees=tuple(trees[1:]),
@@ -305,38 +310,41 @@ def _encode_rows(model, rows) -> np.ndarray:
     return X
 
 
-def _reverse_chain(model, X, s_count, rng, predict_y0):
-    """Shared reverse-time sampler; ``predict_y0(tree, Z, mu, t)`` supplies the
-    per-timestep clean-response estimate."""
+def _reverse_chain(model, X, s_count, rng, clean_estimate):
+    """Shared reverse-time sampler; ``clean_estimate(y, pred, mu, t)`` turns
+    the noisy values ``y`` and the step tree's predictions ``pred`` at t into
+    the clean-response estimate.
+
+    The ``s_count`` draws of a held-out row differ only in the noisy-response
+    column, and a step tree routes a noisy value by its rank among the tree's
+    thresholds on that column.  So each step routes one probe row per (held-out
+    row, rank) pair that occurs, never one row per draw; see
+    :func:`diffboost.tree._predict_replicated`.
+    """
     sched = model.schedule
     m = X.shape[0]
     fphi = predict_mean(model.mean_est, X)
     mu = fphi if model.config.prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros(m)
 
-    Z = np.empty((m * s_count, X.shape[1] + 2))
-    Z[:, 1:-1] = np.repeat(X, s_count, axis=0)
-    Z[:, -1] = np.repeat(fphi, s_count)
-    mu_rep = np.repeat(mu, s_count)
+    base = np.empty((m, X.shape[1] + 2))     # column 0 is set per probe row
+    base[:, 1:-1] = X
+    base[:, -1] = fphi
+    group = np.repeat(np.arange(m), s_count)
+    mu_rep = mu[group]
 
     y = mu_rep + rng.standard_normal(m * s_count)
     y0_hat = None
     for t in range(sched.T, 0, -1):
-        Z[:, 0] = y
-        y0_hat = predict_y0(model.step_trees[t - 1], Z, mu_rep, t)
+        pred = _predict_replicated(model.step_trees[t - 1], base, 0, y, group)
+        y0_hat = clean_estimate(y, pred, mu_rep, t)
         if t > 1:
             mean = posterior_mean(sched, y, y0_hat, mu_rep, t)
             y = posterior_sample(sched, mean, t, rng)
     return y0_hat.reshape(m, s_count)
 
 
-def _clean_from_tree(tree, Z, mu_rep, t):
-    return predict_tree(tree, Z)
-
-
-def _clean_from_noise(sched, tree, Z, mu_rep, t):
-    # invert the forward reparameterization around the predicted noise
-    return y0_from_noise(sched, Z[:, 0], predict_tree(tree, Z), mu_rep, t)
-
+def _clean_from_tree(y, pred, mu_rep, t):
+    return pred
 
 
 def sample(model: DbtModel, rows, s_count: int,
@@ -350,10 +358,11 @@ def sample(model: DbtModel, rows, s_count: int,
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
     X = _encode_rows(model, rows)
-    predict_y0 = _clean_from_tree
+    clean_estimate = _clean_from_tree
     if _KINDS[model.kind].predicts_noise:
-        predict_y0 = functools.partial(_clean_from_noise, model.schedule)
-    out = _reverse_chain(model, X, s_count, rng, predict_y0)
+        # invert the forward reparameterization around the predicted noise
+        clean_estimate = functools.partial(y0_from_noise, model.schedule)
+    out = _reverse_chain(model, X, s_count, rng, clean_estimate)
     if model.target_standardization is not None:
         m, s = model.target_standardization
         out = out * s + m

@@ -106,6 +106,8 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
             fail("a child index is out of range or not after its parent")
     if (is_cat[~leaf] != cat_feature[feature[~leaf]]).any():
         fail("a split rule does not match its column's kind")
+    if np.isnan(a["threshold"][~leaf & ~is_cat]).any():
+        fail("a numeric split has a NaN threshold")
     if (cat_len < 0).any() or (cat_len[~is_cat] != 0).any() \
             or cat_len.sum() != a["cat_values"].shape[0]:
         fail("category set lengths do not match the stored codes")

@@ -530,6 +530,34 @@ def predict_tree(tree: DecisionTree, rows: np.ndarray):
     return tree.value[leaf]
 
 
+def _predict_replicated(tree: DecisionTree, base: np.ndarray, col: int,
+                        values: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """``predict_tree(tree, rows)`` for the rows ``base[group]`` with column
+    ``col`` set to ``values``, bit for bit, without building those rows.
+
+    ``col`` must be numeric in ``tree``.  A node on ``col`` sends ``v`` left
+    iff ``v <= thr``, so a value's route through the tree is fixed by its
+    rank: the number of the tree's distinct thresholds ``Θ`` on ``col`` that
+    lie strictly below it, with NaN ranked ``|Θ| + 1``.  Only the (group,
+    rank) pairs that occur are routed, each as one probe row holding a value
+    of that rank (``Θ[r]``, then ``+inf``, then NaN), so there are never more
+    probe rows than values.
+    """
+    thresholds = np.unique(tree.threshold[tree.feature == col])
+    k = thresholds.size + 2
+    # +inf as a last cut ranks NaN, which sorts after it, at k - 1
+    slot = np.searchsorted(np.append(thresholds, np.inf), values, side="left")
+    slot += group * k
+    used = np.zeros(base.shape[0] * k, dtype=bool)
+    used[slot] = True
+    pairs = np.flatnonzero(used)
+    probe = base[pairs // k]
+    probe[:, col] = np.append(thresholds, (np.inf, np.nan))[pairs % k]
+    leaf_value = np.empty(used.shape[0])
+    leaf_value[pairs] = predict_tree(tree, probe)
+    return leaf_value[slot]
+
+
 def gain_importance(tree: DecisionTree) -> np.ndarray:
     """Per-feature total SSE reduction summed over the tree's splits."""
     internal = tree.feature >= 0

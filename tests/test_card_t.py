@@ -62,10 +62,10 @@ def test_oracle_noise_predictor_reproduces_true_chain():
     model = train_card_t(ds, cfg)
     sched = model.schedule
 
-    def oracle_y0(tree, Z, mu_rep, t):
-        eps_hat = (Z[:, 0] - mu_rep * (1 - np.sqrt(sched.alpha_bar[t]))) \
+    def oracle_y0(y, pred, mu_rep, t):
+        eps_hat = (y - mu_rep * (1 - np.sqrt(sched.alpha_bar[t]))) \
             / np.sqrt(sched.one_minus_alpha_bar[t])
-        return y0_from_noise(sched, Z[:, 0], eps_hat, mu_rep, t)
+        return y0_from_noise(sched, y, eps_hat, mu_rep, t)
 
     out = _reverse_chain(model, ds.X[:8], 40, streams.stream(2, 2), oracle_y0)
     m, s = model.target_standardization

@@ -320,7 +320,9 @@ def test_eval_model_seed_zero_is_seed_zero(toy_csv, tmp_path, capsys):
     (["--mcar-rate", "0.5"], "--mcar-rate"),
     (["--seed", "1", "--model-kind", "card_t"], "--model-kind"),
     (["--config", "run.cfg"], "--config"),
-], ids=["timesteps", "mcar_rate", "model_kind", "config"])
+    (["--threads", "64"], "--threads"),                  # fold-only flags
+    (["--train-fraction", "0.3"], "--train-fraction"),
+], ids=["timesteps", "mcar_rate", "model_kind", "config", "threads", "train_fraction"])
 def test_eval_model_rejects_training_settings(toy_csv, tmp_path, capsys, extra, flag):
     model_path = _train(toy_csv, tmp_path)
     (tmp_path / "run.cfg").write_text("seed=2\n")
@@ -508,3 +510,35 @@ def test_eval_folds_workers_are_capped(toy_csv, capsys, monkeypatch, threads, fo
     else:
         assert rc == 0
         assert _RecordingPool.made == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("extra,fraction", [([], 0.9), (["--train-fraction", "0.7"], 0.7)],
+                         ids=["default", "flag"])
+def test_eval_folds_train_fraction(toy_csv, monkeypatch, extra, fraction):
+    fractions = []
+
+    def run_fold(job):                   # job[1] is the fold's SplitSpec
+        fractions.append(job[1].train_fraction)
+        return {"rmse": 1.0, "nll": 1.0, "qice": 1.0}
+
+    monkeypatch.setattr(cli, "_run_fold", run_fold)
+    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+                 *_SMALL_FOLD_FLAGS, *extra]) == 0
+    assert fractions == [fraction, fraction]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_training_mse_stops_train(tmp_path, capsys, source):
+    data = tmp_path / "toy.csv"
+    save_csv(toy_generate("a", 120, seed=0), data)
+    if source == "flag":
+        setting = ["--learning-rate", "1e308"]
+    else:
+        (tmp_path / "c.cfg").write_text("learning-rate=1e308\n")
+        setting = ["--config", str(tmp_path / "c.cfg")]
+    model = tmp_path / "m.dbtm"
+    rc = main(["train", "--data", str(data), "--out", str(model), "--timesteps", "2",
+               "--n-noise", "1", "--mean-trees", "1", *setting])
+    assert rc == 1
+    assert "training MSE at t=2 is not finite" in capsys.readouterr().err
+    assert not model.exists()

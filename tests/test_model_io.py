@@ -285,8 +285,10 @@ def _patch_array(path, name, index, value):
     ("mean.cat_values", 0, -3),
     ("mean.cat_values", 0, 2**40),       # at or above max_categorical_cardinality
     ("step.is_categorical", 0, 1),       # a category set on a numeric split
+    ("step.threshold", 0, np.nan),       # prediction would send every present value right
 ], ids=["child_is_parent", "missing_child", "feature_99", "feature_negative",
-        "offset_past_end", "negative_category", "huge_category", "kind_mismatch"])
+        "offset_past_end", "negative_category", "huge_category", "kind_mismatch",
+        "nan_threshold"])
 def test_corrupt_node_table_is_a_data_error(tmp_path, capsys, name, index, value):
     ds = mixed_dataset(seed=3)
     model = train_dbt(ds, DbtConfig(T=3, n_noise=4, tree_params=FAST, seed=2),

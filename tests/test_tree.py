@@ -6,6 +6,7 @@ from diffboost.tree import (
     CATEGORICAL,
     NUMERIC,
     TreeParams,
+    _predict_replicated,
     apply_tree,
     fit_tree,
     gain_importance,
@@ -305,3 +306,64 @@ def test_non_finite_learning_rate_or_leaf_value_is_rejected():
     X, y = step_data()
     with pytest.raises(ValueError, match="overflows"):
         fit_tree(X, 3.0 * y, [NUMERIC], TreeParams(min_samples_leaf=5, learning_rate=1e308))
+
+
+def tree_on_noisy_column(rng, shape, n, miss_rate, msl):
+    """A tree on (noisy value, numeric, categorical) columns, as a step tree sees
+    them: missing rows of column 0 get their own target shift, so missing-alone
+    cuts (threshold -inf) and both default directions occur.  ``shape`` is
+    ``"split"``, ``"no_col0"`` (column 0 is one constant) or ``"single_leaf"``."""
+    x0 = rng.normal(size=n).round(int(rng.integers(0, 3)))   # ties at some roundings
+    x0[rng.random(n) < miss_rate] = np.nan
+    if shape == "no_col0":
+        x0 = np.full(n, 0.25)
+    x1 = rng.normal(size=n)
+    x1[rng.random(n) < 0.2] = np.nan
+    x2 = rng.integers(-1, 5, n).astype(float)                # -1: unknown code
+    x2[rng.random(n) < 0.15] = np.nan
+    X = np.column_stack([x0, x1, x2])
+    y = 2.0 * np.where(np.isnan(x0), rng.normal(scale=3.0), x0) \
+        + np.nan_to_num(x2) + rng.normal(scale=0.3, size=n)
+    if shape == "single_leaf":
+        y = np.full(n, 1.5)
+    tree = fit_tree(X, y, [NUMERIC, NUMERIC, CATEGORICAL],
+                    TreeParams(num_leaves=10, min_samples_leaf=msl))
+    return X, tree
+
+
+def test_noisy_column_trees_cover_every_routing_case():
+    # the cases the property test below relies on all occur within its seeds
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        shape = ("split", "no_col0", "single_leaf")[seed % 3]
+        _, tree = tree_on_noisy_column(rng, shape, 120, 0.3, 3)
+        on_col0 = tree.feature == 0
+        seen.update(("default_left", bool(d)) for d in tree.default_left[on_col0])
+        seen.add(("missing_alone", bool(np.isneginf(tree.threshold[on_col0]).any())))
+        seen.add(("col0_split", bool(on_col0.any())))
+        seen.add(("leaves", min(tree.n_leaves, 2)))
+    assert {("default_left", True), ("default_left", False), ("missing_alone", True),
+            ("col0_split", True), ("col0_split", False), ("leaves", 1)} <= seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["split", "no_col0", "single_leaf"]),
+       n=st.integers(12, 120), miss_rate=st.sampled_from([0.0, 0.2, 0.5]),
+       msl=st.integers(1, 6), m=st.integers(1, 8), s=st.integers(1, 12),
+       tile_order=st.booleans())
+def test_replicated_prediction_matches_the_materialized_rows(seed, shape, n, miss_rate, msl,
+                                                             m, s, tile_order):
+    rng = np.random.default_rng(seed)
+    X, tree = tree_on_noisy_column(rng, shape, n, miss_rate, msl)
+    thr = np.unique(tree.threshold[tree.feature == 0])
+    pool = np.concatenate([thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf),
+                           [-np.inf, np.inf, np.nan], rng.normal(size=8)])
+    values = rng.choice(pool, size=m * s)
+    base = X[rng.integers(0, n, m)].copy()
+    base[:, 0] = rng.normal(size=m)                          # overwritten by ``values``
+    group = np.tile(np.arange(m), s) if tile_order else np.repeat(np.arange(m), s)
+    rows = base[group]
+    rows[:, 0] = values
+    got = _predict_replicated(tree, base, 0, values, group)
+    assert np.array_equal(got, predict_tree(tree, rows))
