@@ -243,7 +243,8 @@ def _training_mse(tree, Z, target, config):
     if config.tree_params.learning_rate == 1.0:
         root_sse = float(((target - target.mean()) ** 2).sum())
         return max(root_sse - float(tree.split_gain.sum()), 0.0) / target.shape[0]
-    return float(((target - predict_tree(tree, Z)) ** 2).mean())
+    with np.errstate(over="ignore"):         # _train rejects a non-finite MSE
+        return float(((target - predict_tree(tree, Z)) ** 2).mean())
 
 
 def _train(train: Dataset, config: DbtConfig,

@@ -543,16 +543,16 @@ def _predict_replicated(tree: DecisionTree, base: np.ndarray, col: int,
     of that rank (``Θ[r]``, then ``+inf``, then NaN), so there are never more
     probe rows than values.
     """
-    thresholds = np.unique(tree.threshold[tree.feature == col])
-    k = thresholds.size + 2
-    # +inf as a last cut ranks NaN, which sorts after it, at k - 1
-    slot = np.searchsorted(np.append(thresholds, np.inf), values, side="left")
+    # one value of each rank; +inf as a last cut ranks NaN, which sorts after it
+    rank_value = np.append(np.unique(tree.threshold[tree.feature == col]), (np.inf, np.nan))
+    k = rank_value.size
+    slot = np.searchsorted(rank_value[:-1], values, side="left")
     slot += group * k
     used = np.zeros(base.shape[0] * k, dtype=bool)
     used[slot] = True
     pairs = np.flatnonzero(used)
     probe = base[pairs // k]
-    probe[:, col] = np.append(thresholds, (np.inf, np.nan))[pairs % k]
+    probe[:, col] = rank_value[pairs % k]
     leaf_value = np.empty(used.shape[0])
     leaf_value[pairs] = predict_tree(tree, probe)
     return leaf_value[slot]
