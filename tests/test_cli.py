@@ -150,6 +150,28 @@ def test_sample_csv_reads_back_bit_for_bit(tmp_path, task):
         assert np.array_equal(values[:, 1], (1.0 / (1.0 + np.exp(-draws))).ravel())
 
 
+# SHA-256 of the bytes ``diffboost sample`` writes for one fixed model of each
+# task.  A change to the CSV writer must leave these alone.
+GOLDEN_SAMPLE_CSV_SHA256 = {
+    "regression": "7049791c0a1c42dcb24336d8bf34b1bad21f2786087b52cff85d95da847af237",
+    "binary": "c2b69f8ad167a6bf98b8c959a4284baedf892af8ff9f60fe359a768238966bdf",
+}
+
+
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_golden_sample_csv_bytes(tmp_path, task):
+    import hashlib
+    from diffboost.data import clf_toy_generate
+    ds = clf_toy_generate(90, seed=5) if task == "binary" else toy_generate("a", 90, seed=5)
+    data, model_path, out = tmp_path / "d.csv", str(tmp_path / "m.dbtm"), tmp_path / "s.csv"
+    save_csv(ds, data)
+    assert main(["train", "--data", str(data), "--out", model_path, "--task", task,
+                 *TRAIN_FLAGS]) == 0
+    assert main(["sample", "--model", model_path, "--data", str(data), "--samples", "7",
+                 "--seed", "13", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SAMPLE_CSV_SHA256[task]
+
+
 def test_importance_blocks(toy_csv, tmp_path, capsys):
     model_path = _train(toy_csv, tmp_path)
     capsys.readouterr()
