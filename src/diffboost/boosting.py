@@ -3,7 +3,15 @@
 Stagewise boosting of the package's own regression trees: each stage fits the
 negative gradient of the loss at the current raw predictions.  Squared loss
 gives plain residual fitting; logistic loss refits each tree's leaves with a
-one-step Newton estimate.
+one-step Newton estimate.  A fit never routes its own training rows: each
+stage's ``fit_tree`` reports the leaf every row ended in (``leaf_out``), and
+the raw predictions and Newton sums are read off those leaves.
+
+Prediction walks the whole forest at once (``tree._walk_forest``: every
+(tree, row) pair of a block of rows steps down one level at a time through
+one flattened node table) and then adds the trees' leaf values to the base
+score one tree at a time, in tree order, so the result is bit for bit the
+per-tree loop's.
 """
 
 from __future__ import annotations
@@ -17,9 +25,8 @@ from .tree import (
     NUMERIC,
     TreeParams,
     _presort,
-    apply_tree,
+    _walk_forest,
     fit_tree,
-    predict_tree,
     replace_leaf_values,
 )
 
@@ -95,21 +102,22 @@ def fit_mean_estimator(
     # every stage's tree sees the same columns, so sort them once
     presorted = _presort(X, [j for j, kind in enumerate(feature_kinds) if kind == NUMERIC])
     raw = np.full(y.shape[0], base)
+    leaves = np.empty(y.shape[0], dtype=np.intp)   # each training row's leaf in the stage's tree
     trees = []
     for _ in range(config.n_trees):
         if config.loss == LOGISTIC:
             p = _sigmoid(raw)
             grad = y - p
             hess = p * (1.0 - p)
-            tree = fit_tree(X, grad, feature_kinds, config.tree_params, presorted=presorted)
-            leaves = apply_tree(tree, X)
+            tree = fit_tree(X, grad, feature_kinds, config.tree_params, presorted=presorted,
+                            leaf_out=leaves)
             num = np.bincount(leaves, weights=grad, minlength=tree.n_nodes)
             den = np.bincount(leaves, weights=hess, minlength=tree.n_nodes)
             tree = replace_leaf_values(tree, num / np.maximum(den, _HESSIAN_FLOOR))
-            raw = raw + config.shrinkage * tree.value[leaves]
         else:
-            tree = fit_tree(X, y - raw, feature_kinds, config.tree_params, presorted=presorted)
-            raw = raw + config.shrinkage * predict_tree(tree, X)
+            tree = fit_tree(X, y - raw, feature_kinds, config.tree_params, presorted=presorted,
+                            leaf_out=leaves)
+        raw = raw + config.shrinkage * tree.value[leaves]
         trees.append(tree)
 
     return MeanEstimator(base_score=base, trees=tuple(trees),
@@ -117,13 +125,24 @@ def fit_mean_estimator(
 
 
 def predict_mean(est: MeanEstimator, rows: np.ndarray) -> np.ndarray:
-    """Predicted mean (squared loss) or positive-class probability (logistic)."""
+    """Predicted mean (squared loss) or positive-class probability (logistic).
+
+    Bit for bit ``raw = base_score``, then ``raw = raw + shrinkage *
+    predict_tree(tree, rows)`` for each tree in order: ``tree._walk_forest``
+    routes every tree of a block of rows at once, and a running sum down the
+    tree axis of ``base_score, shrinkage * v_1, shrinkage * v_2, ...`` makes
+    those same float additions in the same order.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     single = rows.ndim == 1
     if single:
         rows = rows[None, :]
-    raw = np.full(rows.shape[0], est.base_score)
-    for tree in est.trees:
-        raw = raw + est.shrinkage * predict_tree(tree, rows)
+    raw = np.empty(rows.shape[0])
+    for start, values in _walk_forest(est.trees, rows):
+        terms = np.empty((values.shape[0] + 1, values.shape[1]))
+        terms[0] = est.base_score
+        np.multiply(est.shrinkage, values, out=terms[1:])
+        np.add.accumulate(terms, axis=0, out=terms)
+        raw[start:start + values.shape[1]] = terms[-1]
     out = _sigmoid(raw) if est.loss == LOGISTIC else raw
     return out[0] if single else out

@@ -191,12 +191,19 @@ def cmd_sample(args) -> int:
         header, columns = "row,sample,logit,probability\n", (out, 1.0 / (1.0 + np.exp(-out)))
     else:
         header, columns = "row,sample,value\n", (out,)
+    # a line is ``j`` ",s," v_1 "," ... v_k "\n"; only ``j`` and the values change per row
+    n_samples, width = out.shape[1], 2 * len(columns) + 2
+    parts = [","] * (width * n_samples)
+    parts[1::width] = [f",{s}," for s in range(n_samples)]
+    parts[width - 1::width] = ["\n"] * n_samples
     with _out_stream(args.out) as fh:
         fh.write(header)
         for j in range(out.shape[0]):
-            # one write per response row; repr of a Python float round-trips exactly
-            cells = map(",".join, zip(*(map(repr, c[j].tolist()) for c in columns)))
-            fh.write("".join(f"{j},{s},{cell}\n" for s, cell in enumerate(cells)))
+            parts[::width] = [str(j)] * n_samples
+            for i, c in enumerate(columns):
+                # repr of a list of Python floats spells each one as repr does: it round-trips
+                parts[2 + 2 * i::width] = repr(c[j].tolist())[1:-1].split(", ")
+            fh.write("".join(parts))             # one write per response row
     return 0
 
 

@@ -190,6 +190,11 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
             raise DataError(
                 f"{path}: response {response_name!r} row {i + 2}: {row[r_idx]!r} is not numeric")
         y[i] = v
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}: response {response_name!r} row {i + 2}: "
+                        f"{raw_rows[i][r_idx]!r} is not a finite number")
 
     return Dataset(name=name or path.stem, columns=tuple(columns), X=X, y=y,
                    response_name=response_name)

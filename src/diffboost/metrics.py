@@ -32,12 +32,21 @@ def _as_matrix(samples) -> np.ndarray:
     return s
 
 
+def _as_truth(truth, s: np.ndarray) -> np.ndarray:
+    """``truth`` as a float vector, checked to hold one finite value per row of ``s``."""
+    t = np.asarray(truth, dtype=float)
+    if t.shape != (s.shape[0],):
+        raise ValueError(f"truth has shape {t.shape}; it needs one value for each of "
+                         f"the {s.shape[0]} sample rows")
+    if not np.isfinite(t).all():
+        raise ValueError("truth must be finite")
+    return t
+
+
 def rmse(truth, samples) -> float:
     """Root mean squared error of the per-row sample means."""
     s = _as_matrix(samples)
-    t = np.asarray(truth, dtype=float)
-    if t.shape[0] != s.shape[0]:
-        raise ValueError("truth length must match sample rows")
+    t = _as_truth(truth, s)
     pred = s.mean(axis=1)
     return float(np.sqrt(np.mean((pred - t) ** 2)))
 
@@ -52,7 +61,7 @@ def nll(truth, samples) -> float:
     s = _as_matrix(samples)
     if s.shape[1] < 2:
         raise ValueError("need at least two samples per row")
-    t = np.asarray(truth, dtype=float)
+    t = _as_truth(truth, s)
     mu = s.mean(axis=1)
     sd = np.maximum(s.std(axis=1, ddof=1), _SIGMA_FLOOR)
     per_row = 0.5 * np.log(2.0 * np.pi * sd ** 2) + (t - mu) ** 2 / (2.0 * sd ** 2)
@@ -72,7 +81,7 @@ def qice(truth, samples, n_bins: int = 10) -> float:
     s = _as_matrix(samples)
     if s.shape[1] < n_bins:
         raise ValueError("need at least n_bins samples per row")
-    t = np.asarray(truth, dtype=float)
+    t = _as_truth(truth, s)
     levels = np.arange(1, n_bins) / n_bins
     bounds = np.quantile(s, levels, axis=1)       # (n_bins-1, M) interior boundaries
     bin_idx = (t[None, :] >= bounds).sum(axis=0)  # 0..n_bins-1

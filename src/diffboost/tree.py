@@ -120,26 +120,53 @@ class _OpenLeaf:
         self.best = None                        # (gain, feature, thr, cats, default_left)
 
 
-def _goes_left(col, thr, cats, default_left):
-    """Which values of ``col`` a node sends left; fitting and prediction share it.
+def _goes_left(col, thr, default_left, lut=None, row=None):
+    """Which values of ``col`` their nodes send left; fitting, ``apply_tree``
+    and the forest walk all route with it.
 
-    Numeric nodes send ``value <= thr`` left.  Categorical nodes look each code
-    up in a boolean table of ``cats``; codes past the table's last slot are
-    never left.  Missing values (NaN, or a negative code) follow
-    ``default_left``.
+    ``thr``, ``default_left`` and ``row`` give each value's node: one node's
+    scalars, or one entry per value.  Numeric nodes (no ``lut``) send
+    ``value <= thr`` left.  Categorical nodes send code ``c`` left iff
+    ``lut[row, c]``, in a table from ``_category_table`` (or ``lut[c]`` in one
+    node's table, with no ``row``) whose last column is False, so codes past
+    that column are never left.  Missing values (NaN, or a negative code at a
+    categorical node) follow ``default_left``.
     """
-    if cats is None:
+    if lut is None:
         miss = np.isnan(col)
         with np.errstate(invalid="ignore"):
             left = col <= thr
     else:
         miss = np.isnan(col) | (col < 0)
-        top = int(cats.max()) + 1 if cats.size else 0
-        lut = np.zeros(top + 1, dtype=bool)
-        lut[cats] = True
-        left = lut[np.where(miss | (col > top), top, col).astype(np.int64)]
-    left[miss] = default_left
+        width = lut.shape[-1]
+        code = np.where(miss, 0, np.minimum(col, width - 1)).astype(np.intp)
+        if row is not None:
+            code += row * width
+        left = lut.take(code)
+    if isinstance(default_left, np.ndarray):
+        np.copyto(left, default_left, where=miss)
+    else:
+        left[miss] = default_left
     return left
+
+
+def _category_table(cat_sets):
+    """(len(cat_sets), w) boolean table whose row i marks the codes of
+    ``cat_sets[i]``; ``w`` is two past the largest code, so the last column is
+    False in every row."""
+    codes = np.concatenate(cat_sets) if cat_sets else np.empty(0, dtype=np.int64)
+    lut = np.zeros((len(cat_sets), int(codes.max()) + 2 if codes.size else 1), dtype=bool)
+    lut[np.repeat(np.arange(len(cat_sets)), [c.size for c in cat_sets]), codes] = True
+    return lut
+
+
+def _node_table(cats):
+    """The one row of ``_category_table([cats])``, one node's ``lut``, or None."""
+    if cats is None:
+        return None
+    lut = np.zeros(int(cats.max()) + 2 if cats.size else 1, dtype=bool)
+    lut[cats] = True
+    return lut
 
 
 def _midpoint(a, b):
@@ -386,7 +413,7 @@ class _Fit:
             self.mask[rows_left] = True
             self.mask[rows_right] = False
         else:
-            go_left = _goes_left(self.X[leaf.rows, f], thr, cats, default_left)
+            go_left = _goes_left(self.X[leaf.rows, f], thr, default_left, _node_table(cats))
             self.mask[leaf.rows] = go_left
             rows_left = leaf.rows[go_left]
             rows_right = leaf.rows[~go_left]
@@ -411,6 +438,7 @@ def fit_tree(
     feature_kinds: Sequence[str],
     params: TreeParams = TreeParams(),
     presorted: Optional[dict] = None,
+    leaf_out: Optional[np.ndarray] = None,
 ) -> DecisionTree:
     """Grow a regression tree by repeatedly splitting the highest-gain leaf.
 
@@ -422,6 +450,10 @@ def fit_tree(
         params: growth limits; leaf values are scaled by ``params.learning_rate``.
         presorted: optional {feature: row ids sorted ascending by value with
             missing last} to skip the root argsort of static columns.
+        leaf_out: optional (n,) integer array, filled with the node id of
+            the leaf each training row ended in: ``apply_tree(tree, features)``
+            without routing the rows again.  An output only; the tree is the
+            same with or without it.
 
     Ties between equal-gain splits resolve to the lower feature index, then
     the lower threshold (smaller category group), then default-left.
@@ -439,6 +471,8 @@ def fit_tree(
         raise ValueError("targets must be finite")
     if len(feature_kinds) != p:
         raise ValueError(f"feature_kinds has {len(feature_kinds)} entries for {p} columns")
+    if leaf_out is not None and leaf_out.shape != (n,):
+        raise ValueError(f"leaf_out shape {leaf_out.shape} does not match {n} rows")
 
     ctx = _Fit(X, y, feature_kinds, params)
     orders = dict(presorted or {})
@@ -481,6 +515,8 @@ def fit_tree(
     lr = params.learning_rate
     for leaf in open_leaves:
         value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
+        if leaf_out is not None:
+            leaf_out[leaf.rows] = leaf.node_id
     if np.isinf(value).any():                  # internal nodes hold NaN
         raise ValueError(f"a leaf value overflows at learning rate {lr!r}")
 
@@ -518,7 +554,7 @@ def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
             out[ridx] = nid
             continue
         go_left = _goes_left(X[ridx, tree.feature[nid]], tree.threshold[nid],
-                             tree.left_categories[nid], tree.default_left[nid])
+                             tree.default_left[nid], _node_table(tree.left_categories[nid]))
         stack.append((tree.children_left[nid], ridx[go_left]))
         stack.append((tree.children_right[nid], ridx[~go_left]))
     return out[0] if single else out
@@ -528,6 +564,82 @@ def predict_tree(tree: DecisionTree, rows: np.ndarray):
     """Predict a scalar for one row (1-D input) or a vector for a batch (2-D)."""
     leaf = apply_tree(tree, rows)
     return tree.value[leaf]
+
+
+# (tree, row) pairs routed together by ``_walk_forest``: trees x block rows
+_WALK_PAIRS = 16384
+
+
+def _walk_forest(trees: Sequence[DecisionTree], rows: np.ndarray):
+    """Yield ``(start, values)`` for successive blocks of the 2-D ``rows``:
+    ``values[t, i]`` is ``predict_tree(trees[t], rows[start + i])``, bit for bit.
+
+    The trees are flattened into one node table on each call, with child ids
+    offset into it, each leaf its own child and one row of a shared category
+    table per categorical node.  Every (tree, row) pair of a block then walks
+    down one level per step, a few numpy calls per level of the deepest tree
+    instead of a few per node of every tree.  A block holds about
+    ``_WALK_PAIRS`` pairs.  A level drops the pairs that reached a leaf once
+    they are at least half of those left; until then they step in place.
+    """
+    X = np.asarray(rows, dtype=np.float64)
+    m = X.shape[0]
+    n_trees = len(trees)
+    if not n_trees:
+        yield 0, np.empty((0, m))
+        return
+    p = trees[0].n_features
+    if X.shape[1] != p:
+        raise ValueError(f"expected {p} columns, got {X.shape[1]}")
+
+    sizes = np.array([t.n_nodes for t in trees])
+    starts = np.cumsum(sizes) - sizes
+
+    def joined(field):
+        return np.concatenate([getattr(t, field) for t in trees])
+
+    feature = joined("feature").astype(np.intp)
+    threshold = joined("threshold")
+    default_left = joined("default_left")
+    value = joined("value")
+    # node i's children at 2i (right) and 2i + 1 (left); a leaf is its own child
+    leaf = feature < 0
+    own = np.arange(leaf.size)
+    offset = np.repeat(starts, sizes)
+    child = np.empty(2 * leaf.size, dtype=np.intp)
+    child[0::2] = np.where(leaf, own, joined("children_right") + offset)
+    child[1::2] = np.where(leaf, own, joined("children_left") + offset)
+    cats = [c for t in trees for c in t.left_categories]
+    is_cat = np.array([c is not None for c in cats])
+    lut = _category_table([c for c in cats if c is not None]) if is_cat.any() else None
+    lut_row = np.where(is_cat, np.cumsum(is_cat) - 1, -1)
+
+    step = max(_WALK_PAIRS // n_trees, 1)
+    for start in range(0, m, step):
+        block = np.ascontiguousarray(X[start:start + step])
+        b = block.shape[0]
+        cells = block.ravel()
+        out = np.empty(n_trees * b)
+        node = np.repeat(starts, b)                       # pair i: tree i // b, row i % b
+        pair = np.arange(n_trees * b)
+        cell = np.tile(np.arange(0, b * p, p), n_trees)
+        while node.size:
+            f = feature.take(node)
+            done = f < 0
+            # a pair stays at its leaf, so drop the pairs there once they are half
+            if 2 * np.count_nonzero(done) >= node.size:
+                out[pair[done]] = value.take(node[done])
+                keep = ~done
+                node, pair, cell, f = node[keep], pair[keep], cell[keep], f[keep]
+            x = cells.take(cell + f)                      # a pair at a leaf reads any cell
+            thr, dflt = threshold.take(node), default_left.take(node)
+            left = _goes_left(x, thr, dflt)
+            if lut is not None:
+                row = lut_row.take(node)
+                cat = row >= 0
+                left[cat] = _goes_left(x[cat], None, dflt[cat], lut, row[cat])
+            node = child.take(2 * node + left)
+        yield start, out.reshape(n_trees, b)
 
 
 def _predict_replicated(tree: DecisionTree, base: np.ndarray, col: int,

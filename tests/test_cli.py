@@ -37,6 +37,21 @@ def test_schedule_csv(capsys):
     assert lines[-1].startswith("2,")
 
 
+def test_python_m_diffboost_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    import diffboost
+    # the directory holding the imported package, so the child imports the same one
+    root = str(Path(diffboost.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "diffboost", "schedule", "--timesteps", "5"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "t,gamma0,gamma1,gamma2,tilde_beta"
+
+
 def test_schedule_defaults_match_coefficient_claims(capsys):
     assert main(["schedule"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
@@ -474,7 +489,11 @@ def test_non_finite_settings_never_write_non_finite_samples(tmp_path, capsys, ke
     ("\n\n\n", None),
     ("x0,y\n1,2\n3,4\n", "column.0.name=x0\n"),
     ("x0,y\n1,2\n3,4\n", "column.0.name=x0\ncolumn.0.kind=bogus\n"),
-], ids=["oversized_cell", "blank_header", "sidecar_without_kind", "sidecar_unknown_kind"])
+    ("x0,y\n1,2\n3,nan\n", None),
+    ("x0,y\n1,inf\n3,4\n", None),
+    ("x0,y\n1,2\n3,-inf\n", None),
+], ids=["oversized_cell", "blank_header", "sidecar_without_kind", "sidecar_unknown_kind",
+        "nan_response", "inf_response", "minus_inf_response"])
 def test_csv_boundary_is_a_data_error(tmp_path, capsys, csv_text, sidecar):
     data = tmp_path / "d.csv"
     data.write_text(csv_text)

@@ -225,3 +225,23 @@ def test_format_mean_std():
 
 def test_accuracy():
     assert accuracy([1, 0, 1, 1], [1, 0, 0, 1]) == 0.75
+
+
+@pytest.mark.parametrize("metric", [rmse, nll, qice], ids=["rmse", "nll", "qice"])
+@pytest.mark.parametrize("truth", [np.zeros(1), np.zeros(49), np.zeros(51), np.zeros((50, 1)),
+                                   np.float64(0.0)],
+                         ids=["one", "short", "long", "column", "scalar"])
+def test_truth_of_the_wrong_shape_is_rejected(metric, truth):
+    samples = np.random.default_rng(0).normal(size=(50, 20))
+    with pytest.raises(ValueError, match="truth"):
+        metric(truth, samples)
+
+
+@pytest.mark.parametrize("metric", [rmse, nll, qice], ids=["rmse", "nll", "qice"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_truth_is_rejected(metric, bad):
+    samples = np.random.default_rng(0).normal(size=(50, 20))
+    truth = np.zeros(50)
+    truth[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        metric(truth, samples)

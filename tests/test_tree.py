@@ -201,6 +201,8 @@ def test_error_contracts():
         fit_tree(np.zeros((5, 2)), np.zeros(5), [NUMERIC])
     with pytest.raises(ValueError):
         predict_tree(fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC]), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="leaf_out"):
+        fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC], leaf_out=np.empty(4, dtype=np.intp))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,8 +233,17 @@ def test_fit_partition_matches_apply_tree_routing(seed, n, n_block, n_sparse, n_
     y = (4 * np.nan_to_num(X).sum(axis=1) + rng.normal(size=n)).round()
     params = TreeParams(num_leaves=12, min_samples_leaf=msl, learning_rate=lr,
                         max_categorical_cardinality=max_card)
-    tree = fit_tree(X, y, kinds, params)
+    leaf_out = np.full(n, -1, dtype=np.intp)
+    tree = fit_tree(X, y, kinds, params, leaf_out=leaf_out)
     leaves = apply_tree(tree, X)
+    # the leaf report is the routing, and asking for it changes no byte of the tree
+    assert np.array_equal(leaf_out, leaves)
+    plain = fit_tree(X, y, kinds, params)
+    for name in ("feature", "threshold", "default_left", "children_left", "children_right",
+                 "value", "split_gain"):
+        assert np.array_equal(getattr(tree, name), getattr(plain, name), equal_nan=True)
+    assert all((a is None and b is None) or np.array_equal(a, b)
+               for a, b in zip(tree.left_categories, plain.left_categories))
     count = np.bincount(leaves, minlength=tree.n_nodes)
     is_leaf = tree.feature < 0
     # the rows the grower put in each leaf are the rows prediction routes there
