@@ -143,7 +143,7 @@ def _goes_left(col, thr, default_left, lut=None, row=None):
         if row is not None:
             code += row * width
         left = lut.take(code)
-    if isinstance(default_left, np.ndarray):
+    if isinstance(default_left, np.ndarray):    # one per value; a scalar's store is cheaper
         np.copyto(left, default_left, where=miss)
     else:
         left[miss] = default_left

@@ -140,7 +140,7 @@ def mixed_forest(seed, n, n_num, n_cat, n_trees, loss, cap):
     for _ in range(n_cat):
         col = rng.integers(-1, cap, n).astype(float)           # -1: unknown code
         col[rng.random(n) < 0.15] = np.nan
-        over = rng.random(n) < 0.03                            # a leaf holding one never splits here
+        over = rng.random(n) < 0.03                  # rare: a leaf holding one never splits here
         col[over] = rng.integers(cap, cap + 3, int(over.sum()))
         cols.append(col)
         kinds.append(CATEGORICAL)
@@ -155,8 +155,8 @@ def mixed_forest(seed, n, n_num, n_cat, n_trees, loss, cap):
         y[:2] = (0.0, 1.0)                                     # both classes
     else:
         y = signal + rng.normal(scale=0.5, size=n)
-    params = TreeParams(num_leaves=int(rng.integers(2, 9)), min_samples_leaf=int(rng.integers(1, 8)),
-                        max_categorical_cardinality=cap)
+    params = TreeParams(num_leaves=int(rng.integers(2, 9)),
+                        min_samples_leaf=int(rng.integers(1, 8)), max_categorical_cardinality=cap)
     est = fit_mean_estimator(X, y, kinds, MeanEstimatorConfig(
         n_trees=n_trees, tree_params=params, shrinkage=float(rng.uniform(0.05, 0.9)), loss=loss))
     return X, est
