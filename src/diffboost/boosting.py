@@ -17,7 +17,7 @@ per-tree loop's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,12 +76,17 @@ def fit_mean_estimator(
     y: np.ndarray,
     feature_kinds: Sequence[str],
     config: MeanEstimatorConfig = MeanEstimatorConfig(),
+    fitted_out: Optional[np.ndarray] = None,
 ) -> MeanEstimator:
     """Fit a boosted ensemble estimating E[y|x] (squared) or P(y=1|x) (logistic).
 
     For logistic loss, targets must be 0/1 with both classes present; the base
     score is the log-odds of the positive rate and leaf values use Sum(g)/Sum(h)
     with the hessian sum floored to avoid blow-ups in pure leaves.
+
+    ``fitted_out``: optional (n,) float array, filled with
+    ``predict_mean(estimator, X)`` bit for bit, without routing the rows
+    again.  An output only; the estimator is the same with or without it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -119,6 +124,8 @@ def fit_mean_estimator(
                             leaf_out=leaves)
         raw = raw + config.shrinkage * tree.value[leaves]
         trees.append(tree)
+    if fitted_out is not None:
+        fitted_out[:] = _sigmoid(raw) if config.loss == LOGISTIC else raw
 
     return MeanEstimator(base_score=base, trees=tuple(trees),
                          shrinkage=config.shrinkage, loss=config.loss)

@@ -187,8 +187,9 @@ class _TrainingSetup:
             self.positive_rate = None
             mean_target = y0
 
-        self.mean_est = fit_mean_estimator(X, mean_target, train.kinds(), mean_config)
-        fphi = predict_mean(self.mean_est, X)
+        fphi = np.empty(train.n_rows)
+        self.mean_est = fit_mean_estimator(X, mean_target, train.kinds(), mean_config,
+                                           fitted_out=fphi)
         mu = fphi if config.prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros_like(fphi)
 
         reps = config.n_noise

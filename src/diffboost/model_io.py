@@ -3,10 +3,12 @@
 Layout: 4-byte magic ``DBTM``, little-endian uint32 format version, uint64
 header length, a JSON header (inspectable with a text editor once past the
 12-byte prelude), then raw little-endian array bytes at the offsets the
-header's ``arrays`` directory records.  Trees are stored as flat node tables
-with explicit child indices; schedule arrays are recomputed on load from the
-stored (T, beta_start, beta_end).  Writing is fully deterministic: the same
-model always produces byte-identical files.
+header's ``arrays`` directory records.  Each ensemble stores every array
+field of ``tree.DecisionTree`` (``_TREE_FIELDS``), its trees laid end to end,
+and ``tree_offsets``, where each tree's nodes start.  Every array's header
+dtype must be the one this table gives it.  Schedule arrays are recomputed on
+load from the stored (T, beta_start, beta_end).  Writing is fully
+deterministic: the same model always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,36 +35,24 @@ class ModelFormatError(ValueError):
     """Unreadable, corrupt, or incompatible model file."""
 
 
-_NODE_FIELDS = (
-    ("feature", "<i4"), ("threshold", "<f8"), ("default_left", "u1"),
-    ("children_left", "<i4"), ("children_right", "<i4"),
-    ("value", "<f8"), ("split_gain", "<f8"),
+# every array field of DecisionTree: (name, dtype in the file, dtype in memory);
+# all but cat_values hold one entry per node
+_TREE_FIELDS = (
+    ("feature", "<i4", np.int32), ("threshold", "<f8", np.float64),
+    ("is_categorical", "|u1", bool), ("cat_len", "<i8", np.int64),
+    ("cat_values", "<i8", np.int64), ("default_left", "|u1", bool),
+    ("children_left", "<i4", np.int32), ("children_right", "<i4", np.int32),
+    ("value", "<f8", np.float64), ("split_gain", "<f8", np.float64),
 )
+_ENSEMBLE_DTYPES = dict(((name, dtype) for name, dtype, _ in _TREE_FIELDS),
+                        tree_offsets="<i8")
 
 
 def _pack_ensemble(trees, prefix, arrays):
-    counts = np.array([t.n_nodes for t in trees], dtype="<i8")
-    arrays[f"{prefix}.tree_offsets"] = np.concatenate(
-        [np.zeros(1, dtype="<i8"), np.cumsum(counts, dtype="<i8")])
-    for name, dtype in _NODE_FIELDS:
-        parts = [getattr(t, name).astype(dtype) for t in trees]
-        arrays[f"{prefix}.{name}"] = (np.concatenate(parts) if parts
-                                      else np.empty(0, dtype=dtype))
-    is_cat, cat_len, cat_values = [], [], []
-    for t in trees:
-        for cats in t.left_categories:
-            is_cat.append(cats is not None)
-            cat_len.append(0 if cats is None else len(cats))
-            if cats is not None and len(cats):
-                cat_values.append(np.asarray(cats, dtype="<i8"))
-    arrays[f"{prefix}.is_categorical"] = np.asarray(is_cat, dtype="u1")
-    arrays[f"{prefix}.cat_len"] = np.asarray(cat_len, dtype="<i8")
-    arrays[f"{prefix}.cat_values"] = (np.concatenate(cat_values) if cat_values
-                                      else np.empty(0, dtype="<i8"))
-
-
-_ENSEMBLE_DTYPES = dict(_NODE_FIELDS, tree_offsets="<i8", is_categorical="u1",
-                        cat_len="<i8", cat_values="<i8")
+    arrays[f"{prefix}.tree_offsets"] = np.cumsum([0] + [t.n_nodes for t in trees], dtype="<i8")
+    for name, dtype, _ in _TREE_FIELDS:
+        arrays[f"{prefix}.{name}"] = np.concatenate(
+            [getattr(t, name) for t in trees] + [np.empty(0, dtype=dtype)]).astype(dtype)
 
 
 def _check_ensemble(prefix, arrays, cat_feature, max_code):
@@ -85,8 +75,7 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
             fail(f"{name} is not a 1-D {dtype} array")
     offs, feature = a["tree_offsets"], a["feature"]
     m = feature.shape[0]
-    if any(a[name].shape[0] != m for name in
-           [n for n, _ in _NODE_FIELDS] + ["is_categorical", "cat_len"]):
+    if any(a[name].shape[0] != m for name, _, _ in _TREE_FIELDS if name != "cat_values"):
         fail("node arrays differ in length")
     sizes = np.diff(offs)
     if offs.shape[0] == 0 or offs[0] != 0 or offs[-1] != m or (sizes < 1).any():
@@ -108,8 +97,9 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
         fail("a split rule does not match its column's kind")
     if np.isnan(a["threshold"][~leaf & ~is_cat]).any():
         fail("a numeric split has a NaN threshold")
-    if (cat_len < 0).any() or (cat_len[~is_cat] != 0).any() \
-            or cat_len.sum() != a["cat_values"].shape[0]:
+    # no length past the stored codes, so that their int64 sum cannot wrap
+    if ((cat_len < 0) | (cat_len > a["cat_values"].shape[0])).any() \
+            or (cat_len[~is_cat] != 0).any() or cat_len.sum() != a["cat_values"].shape[0]:
         fail("category set lengths do not match the stored codes")
     if ((a["cat_values"] < 0) | (a["cat_values"] >= max_code)).any():
         fail("category code out of range")
@@ -117,34 +107,14 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
 
 def _unpack_ensemble(prefix, arrays, cat_feature, max_code):
     _check_ensemble(prefix, arrays, cat_feature, max_code)
-    n_features = cat_feature.shape[0]
-    offs = arrays[f"{prefix}.tree_offsets"]
-    cols = {name: arrays[f"{prefix}.{name}"] for name, _ in _NODE_FIELDS}
-    is_cat = arrays[f"{prefix}.is_categorical"].astype(bool)
-    cat_len = arrays[f"{prefix}.cat_len"]
-    cat_values = arrays[f"{prefix}.cat_values"]
-    cat_offs = np.concatenate([[0], np.cumsum(cat_len)])
+    joined = {name: arrays[f"{prefix}.{name}"].astype(dtype) for name, _, dtype in _TREE_FIELDS}
+    nodes = arrays[f"{prefix}.tree_offsets"]
+    codes = np.cumsum(np.append(0, joined["cat_len"]))[nodes]   # where each tree's codes start
     trees = []
-    for i in range(offs.shape[0] - 1):
-        lo, hi = int(offs[i]), int(offs[i + 1])
-        cats = []
-        for node in range(lo, hi):
-            if is_cat[node]:
-                a, b = int(cat_offs[node]), int(cat_offs[node + 1])
-                cats.append(np.array(cat_values[a:b], dtype=np.int64))
-            else:
-                cats.append(None)
-        trees.append(DecisionTree(
-            feature=np.array(cols["feature"][lo:hi], dtype=np.int32),
-            threshold=np.array(cols["threshold"][lo:hi], dtype=np.float64),
-            left_categories=tuple(cats),
-            default_left=np.array(cols["default_left"][lo:hi], dtype=bool),
-            children_left=np.array(cols["children_left"][lo:hi], dtype=np.int32),
-            children_right=np.array(cols["children_right"][lo:hi], dtype=np.int32),
-            value=np.array(cols["value"][lo:hi], dtype=np.float64),
-            split_gain=np.array(cols["split_gain"][lo:hi], dtype=np.float64),
-            n_features=n_features,
-        ))
+    for i in range(nodes.shape[0] - 1):
+        fields = {name: a[nodes[i]:nodes[i + 1]] for name, a in joined.items()}
+        fields["cat_values"] = joined["cat_values"][codes[i]:codes[i + 1]]
+        trees.append(DecisionTree(**fields, n_features=cat_feature.shape[0]))
     return trees
 
 
@@ -231,11 +201,17 @@ def load_model(path):
 
 def _decode(header, blob) -> DbtModel:
     """Build the model from a parsed header and the array bytes after it."""
+    dtypes = {f"{prefix}.{name}": dtype
+              for prefix in ("step", "mean") for name, dtype in _ENSEMBLE_DTYPES.items()}
     arrays = {}
     for spec in header["arrays"]:
+        name = spec["name"]
+        if name not in dtypes:
+            raise ValueError(f"unknown array {name!r}")
+        if spec["dtype"] != dtypes[name]:
+            raise ValueError(f"array {name!r} has dtype {spec['dtype']!r}, not {dtypes[name]!r}")
         buf = blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
-        arrays[spec["name"]] = np.frombuffer(
-            buf, dtype=spec["dtype"]).reshape(spec["shape"])
+        arrays[name] = np.frombuffer(buf, dtype=dtypes[name]).reshape(spec["shape"])
 
     cfg = dict(header["config"])
     cfg["tree_params"] = TreeParams(**cfg["tree_params"])
@@ -250,6 +226,11 @@ def _decode(header, blob) -> DbtModel:
         for c in header["schema"]["columns"]
     )
     cat_feature = np.array([c.kind == CATEGORICAL for c in columns], dtype=bool)
+    # before the schedule, whose cost grows with the T the header claims
+    n_step = arrays["step.tree_offsets"].size - 1
+    if header["schedule"]["T"] != config.T or n_step != config.T:
+        raise ValueError(f"T is {config.T} in the config and {header['schedule']['T']} in "
+                         f"the schedule, with {n_step} step trees stored")
     sched = build_linear_schedule(header["schedule"]["T"],
                                   header["schedule"]["beta_start"],
                                   header["schedule"]["beta_end"])

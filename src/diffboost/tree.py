@@ -63,15 +63,20 @@ class TreeParams:
 @dataclass(frozen=True)
 class DecisionTree:
     """Flat node table; node 0 is the root, leaves have ``feature == -1``.
+    A model file stores each array as it is here (see ``model_io``).
 
-    Numeric rule: go left iff value <= threshold.  Categorical rule: go left
-    iff code is in ``left_categories[node]``.  Missing/unknown values follow
-    ``default_left``.  Leaf values already include the learning-rate factor.
+    Numeric rule: go left iff value <= threshold.  Categorical rule (nodes
+    with ``is_categorical``): go left iff code is in the node's set, its
+    ``cat_len`` sorted codes, which follow the earlier nodes' sets in
+    ``cat_values``.  Missing/unknown values follow ``default_left``.  Leaf
+    values already include the learning-rate factor.
     """
 
     feature: np.ndarray          # int32, -1 for leaves
     threshold: np.ndarray        # float64, NaN for leaves and categorical nodes
-    left_categories: tuple       # per node: sorted int64 codes, or None
+    is_categorical: np.ndarray   # bool, True at nodes with a category set
+    cat_len: np.ndarray          # int64, codes in each node's set; 0 without one
+    cat_values: np.ndarray       # int64, every set's codes, end to end
     default_left: np.ndarray     # bool
     children_left: np.ndarray    # int32, -1 for leaves
     children_right: np.ndarray   # int32, -1 for leaves
@@ -120,17 +125,16 @@ class _OpenLeaf:
         self.best = None                        # (gain, feature, thr, cats, default_left)
 
 
-def _goes_left(col, thr, default_left, lut=None, row=None):
+def _goes_left(col, thr, default_left, lut=None, row=0):
     """Which values of ``col`` their nodes send left; fitting, ``apply_tree``
     and the forest walk all route with it.
 
     ``thr``, ``default_left`` and ``row`` give each value's node: one node's
     scalars, or one entry per value.  Numeric nodes (no ``lut``) send
     ``value <= thr`` left.  Categorical nodes send code ``c`` left iff
-    ``lut[row, c]``, in a table from ``_category_table`` (or ``lut[c]`` in one
-    node's table, with no ``row``) whose last column is False, so codes past
-    that column are never left.  Missing values (NaN, or a negative code at a
-    categorical node) follow ``default_left``.
+    ``lut[row, c]``, in a table from ``_category_table`` whose last column is
+    False, so codes past that column are never left.  Missing values (NaN, or
+    a negative code at a categorical node) follow ``default_left``.
     """
     if lut is None:
         miss = np.isnan(col)
@@ -140,8 +144,7 @@ def _goes_left(col, thr, default_left, lut=None, row=None):
         miss = np.isnan(col) | (col < 0)
         width = lut.shape[-1]
         code = np.where(miss, 0, np.minimum(col, width - 1)).astype(np.intp)
-        if row is not None:
-            code += row * width
+        code += row * width
         left = lut.take(code)
     if isinstance(default_left, np.ndarray):    # one per value; a scalar's store is cheaper
         np.copyto(left, default_left, where=miss)
@@ -150,22 +153,12 @@ def _goes_left(col, thr, default_left, lut=None, row=None):
     return left
 
 
-def _category_table(cat_sets):
-    """(len(cat_sets), w) boolean table whose row i marks the codes of
-    ``cat_sets[i]``; ``w`` is two past the largest code, so the last column is
-    False in every row."""
-    codes = np.concatenate(cat_sets) if cat_sets else np.empty(0, dtype=np.int64)
-    lut = np.zeros((len(cat_sets), int(codes.max()) + 2 if codes.size else 1), dtype=bool)
-    lut[np.repeat(np.arange(len(cat_sets)), [c.size for c in cat_sets]), codes] = True
-    return lut
-
-
-def _node_table(cats):
-    """The one row of ``_category_table([cats])``, one node's ``lut``, or None."""
-    if cats is None:
-        return None
-    lut = np.zeros(int(cats.max()) + 2 if cats.size else 1, dtype=bool)
-    lut[cats] = True
+def _category_table(lengths, codes):
+    """(len(lengths), w) boolean table whose row i marks set i, the sets'
+    codes lying end to end in ``codes`` with ``lengths[i]`` in set i; ``w`` is
+    two past the largest code, so the last column is False in every row."""
+    lut = np.zeros((len(lengths), int(codes.max()) + 2 if codes.size else 1), dtype=bool)
+    lut[np.repeat(np.arange(len(lengths)), lengths), codes] = True
     return lut
 
 
@@ -413,7 +406,8 @@ class _Fit:
             self.mask[rows_left] = True
             self.mask[rows_right] = False
         else:
-            go_left = _goes_left(self.X[leaf.rows, f], thr, default_left, _node_table(cats))
+            lut = None if cats is None else _category_table([cats.size], cats)
+            go_left = _goes_left(self.X[leaf.rows, f], thr, default_left, lut)
             self.mask[leaf.rows] = go_left
             rows_left = leaf.rows[go_left]
             rows_right = leaf.rows[~go_left]
@@ -485,7 +479,7 @@ def fit_tree(
     size = 2 * min(params.num_leaves, n) - 1
     feature = np.full(size, -1, dtype=np.int32)
     threshold = np.full(size, np.nan)
-    left_categories = [None] * size
+    cat_sets = [None] * size                   # per node: its left set's codes, or None
     default_left = np.ones(size, dtype=bool)
     children_left = np.full(size, -1, dtype=np.int32)
     children_right = np.full(size, -1, dtype=np.int32)
@@ -504,7 +498,7 @@ def fit_tree(
             break
         leaf = open_leaves.pop(pick)
         node = leaf.node_id
-        (split_gain[node], feature[node], threshold[node], left_categories[node],
+        (split_gain[node], feature[node], threshold[node], cat_sets[node],
          default_left[node]) = leaf.best
         children_left[node], children_right[node] = n_nodes, n_nodes + 1
         for child in ctx.split(leaf, n_nodes, n_nodes + 1):
@@ -520,11 +514,15 @@ def fit_tree(
     if np.isinf(value).any():                  # internal nodes hold NaN
         raise ValueError(f"a leaf value overflows at learning rate {lr!r}")
 
+    sets = cat_sets[:n_nodes]
     # copies, so that a kept tree holds no view of the preallocated table
     return DecisionTree(
         feature=feature[:n_nodes].copy(),
         threshold=threshold[:n_nodes].copy(),
-        left_categories=tuple(left_categories[:n_nodes]),
+        is_categorical=np.array([c is not None for c in sets]),
+        cat_len=np.array([0 if c is None else c.size for c in sets], dtype=np.int64),
+        cat_values=np.concatenate([c for c in sets if c is not None]
+                                  + [np.empty(0, dtype=np.int64)]),
         default_left=default_left[:n_nodes].copy(),
         children_left=children_left[:n_nodes].copy(),
         children_right=children_right[:n_nodes].copy(),
@@ -547,6 +545,9 @@ def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {tree.n_features} columns, got {X.shape[1]}")
     m = X.shape[0]
     out = np.zeros(m, dtype=np.int64)
+    is_cat = tree.is_categorical
+    lut = _category_table(tree.cat_len[is_cat], tree.cat_values)
+    lut_row = np.cumsum(is_cat) - 1                # a categorical node's row of ``lut``
     stack = [(0, np.arange(m, dtype=np.int64))]
     while stack:
         nid, ridx = stack.pop()
@@ -554,7 +555,8 @@ def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
             out[ridx] = nid
             continue
         go_left = _goes_left(X[ridx, tree.feature[nid]], tree.threshold[nid],
-                             tree.default_left[nid], _node_table(tree.left_categories[nid]))
+                             tree.default_left[nid], lut if is_cat[nid] else None,
+                             lut_row[nid])
         stack.append((tree.children_left[nid], ridx[go_left]))
         stack.append((tree.children_right[nid], ridx[~go_left]))
     return out[0] if single else out
@@ -609,9 +611,8 @@ def _walk_forest(trees: Sequence[DecisionTree], rows: np.ndarray):
     child = np.empty(2 * leaf.size, dtype=np.intp)
     child[0::2] = np.where(leaf, own, joined("children_right") + offset)
     child[1::2] = np.where(leaf, own, joined("children_left") + offset)
-    cats = [c for t in trees for c in t.left_categories]
-    is_cat = np.array([c is not None for c in cats])
-    lut = _category_table([c for c in cats if c is not None]) if is_cat.any() else None
+    is_cat = joined("is_categorical")
+    lut = _category_table(joined("cat_len")[is_cat], joined("cat_values"))
     lut_row = np.where(is_cat, np.cumsum(is_cat) - 1, -1)
 
     step = max(_WALK_PAIRS // n_trees, 1)
@@ -634,7 +635,7 @@ def _walk_forest(trees: Sequence[DecisionTree], rows: np.ndarray):
             x = cells.take(cell + f)                      # a pair at a leaf reads any cell
             thr, dflt = threshold.take(node), default_left.take(node)
             left = _goes_left(x, thr, dflt)
-            if lut is not None:
+            if len(lut):
                 row = lut_row.take(node)
                 cat = row >= 0
                 left[cat] = _goes_left(x[cat], None, dflt[cat], lut, row[cat])

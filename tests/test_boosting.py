@@ -157,8 +157,12 @@ def mixed_forest(seed, n, n_num, n_cat, n_trees, loss, cap):
         y = signal + rng.normal(scale=0.5, size=n)
     params = TreeParams(num_leaves=int(rng.integers(2, 9)),
                         min_samples_leaf=int(rng.integers(1, 8)), max_categorical_cardinality=cap)
+    fitted = np.empty(n)
     est = fit_mean_estimator(X, y, kinds, MeanEstimatorConfig(
-        n_trees=n_trees, tree_params=params, shrinkage=float(rng.uniform(0.05, 0.9)), loss=loss))
+        n_trees=n_trees, tree_params=params, shrinkage=float(rng.uniform(0.05, 0.9)), loss=loss),
+        fitted_out=fitted)
+    # the fit's own values for its training rows are prediction's, bit for bit
+    assert np.array_equal(fitted, predict_mean(est, X))
     return X, est
 
 
@@ -212,7 +216,7 @@ def test_forest_walk_covers_single_leaf_and_categorical_trees():
                               (SQUARED, LOGISTIC)[seed % 2], 4)
         for t in est.trees:
             seen.add(("single_leaf", t.n_leaves == 1))
-            seen.add(("categorical", any(c is not None for c in t.left_categories)))
+            seen.add(("categorical", bool(t.is_categorical.any())))
             seen.add(("numeric", bool(((t.feature >= 0) & ~np.isnan(t.threshold)).any())))
     assert {("single_leaf", True), ("single_leaf", False), ("categorical", True),
             ("numeric", True)} <= seen

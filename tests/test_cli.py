@@ -254,7 +254,11 @@ def _rewrite_header(path, edit):
     lambda h: h["config"]["tree_params"].update(bogus=1),
     lambda h: h["config"].update(T=h["config"]["T"] + 1),
     lambda h: h.update(kind="nope"),
-], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "unknown_kind"])
+    # numpy parses a comma in a dtype string as a record format and raises SyntaxError
+    lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype=",f8"),
+    lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype="f8,,"),
+], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "unknown_kind",
+        "comma_dtype", "trailing_comma_dtype"])
 def test_corrupt_model_header_is_a_data_error(toy_csv, tmp_path, capsys, edit):
     from diffboost.model_io import ModelFormatError, load_model
     model_path = _train(toy_csv, tmp_path)

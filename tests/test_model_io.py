@@ -5,8 +5,9 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diffboost import streams
+from diffboost import model_io, streams
 from diffboost.boosting import MeanEstimatorConfig
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.cli import main
@@ -294,7 +295,7 @@ def test_corrupt_node_table_is_a_data_error(tmp_path, capsys, name, index, value
     model = train_dbt(ds, DbtConfig(T=3, n_noise=4, tree_params=FAST, seed=2),
                       MeanEstimatorConfig(n_trees=3, tree_params=FAST))
     # the patched root must be a numeric split for the mutations above to bite
-    assert model.step_trees[0].feature[0] >= 0 and model.step_trees[0].left_categories[0] is None
+    assert model.step_trees[0].feature[0] >= 0 and not model.step_trees[0].is_categorical[0]
     path = tmp_path / "m.dbtm"
     save_model(model, path)
     _patch_array(path, name, index, value)
@@ -305,6 +306,21 @@ def test_corrupt_node_table_is_a_data_error(tmp_path, capsys, name, index, value
             load_model(path)
         assert main(["sample", "--model", str(path), "--data", str(data)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_category_set_lengths_whose_sum_wraps_are_rejected(tmp_path):
+    model = golden_categorical()
+    cat_len = np.concatenate([t.cat_len for t in model.mean_est.trees])
+    a, b, c = np.flatnonzero(cat_len)[:3]
+    path = tmp_path / "m.dbtm"
+    save_model(model, path)
+    # two lengths of 2**63 - 1 take 2 off the int64 sum, so the lengths still
+    # add up to the stored codes; routing by them would write past its arrays
+    _patch_array(path, "mean.cat_len", a, 2**63 - 1)
+    _patch_array(path, "mean.cat_len", b, 2**63 - 1)
+    _patch_array(path, "mean.cat_len", c, cat_len[a] + cat_len[b] + cat_len[c] + 2)
+    with pytest.raises(ModelFormatError, match="category set lengths"):
+        load_model(path)
 
 
 def test_underflowing_schedule_in_file_is_rejected(tmp_path):
@@ -322,3 +338,56 @@ def test_underflowing_schedule_in_file_is_rejected(tmp_path):
     path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
     with pytest.raises(ModelFormatError, match="underflows"):
         load_model(path)
+
+
+def test_tree_count_is_checked_before_the_schedule_is_built(tmp_path, monkeypatch):
+    path = tmp_path / "m.dbtm"
+    save_model(golden_tiny(train_dbt), path)
+    raw = path.read_bytes()
+    header, blob_start = _header(raw)
+    # without the patch below a failing check would build a schedule of 10**9 steps
+    header["config"]["T"] = header["schedule"]["T"] = 10**9
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
+
+    def refuse(*args):
+        raise AssertionError("the schedule was built before the tree count was checked")
+    monkeypatch.setattr(model_io, "build_linear_schedule", refuse)
+    with pytest.raises(ModelFormatError, match="step trees stored"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """name: (bytes of a golden model file, three rows to sample, a path to
+    write damaged copies to)."""
+    cases = {"dbt": (golden_tiny(train_dbt), mixed_dataset(n=3, seed=12)),
+             "card_t_categorical": (golden_categorical(), categorical_dataset(n=3, seed=14))}
+    files = {}
+    for name, (model, rows) in cases.items():
+        path = tmp_path_factory.mktemp("fuzz") / f"{name}.dbtm"
+        save_model(model, path)
+        files[name] = path.read_bytes(), rows, path
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["dbt", "card_t_categorical"]), cut=st.booleans(),
+       at=st.integers(0, 2**20), bit=st.integers(0, 7))
+# byte 595 of the golden DBT file is the "<" of a '"dtype":"<f8"'; bit 4 makes it ","
+@example(name="dbt", cut=False, at=595, bit=4)
+# byte 2353 is the schedule's T, 4; bit 1 makes it 6 while the config keeps 4
+@example(name="dbt", cut=False, at=2353, bit=1)
+def test_damaged_model_file_is_rejected_or_samples(fuzz_files, name, cut, at, bit):
+    raw, rows, path = fuzz_files[name]
+    at %= len(raw)
+    path.write_bytes(raw[:at] if cut else raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:])
+    with time_limit(30):
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+        try:
+            sample(model, rows, 5, streams.stream(31, 7))
+        except ValueError:
+            pass

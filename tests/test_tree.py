@@ -242,8 +242,8 @@ def test_fit_partition_matches_apply_tree_routing(seed, n, n_block, n_sparse, n_
     for name in ("feature", "threshold", "default_left", "children_left", "children_right",
                  "value", "split_gain"):
         assert np.array_equal(getattr(tree, name), getattr(plain, name), equal_nan=True)
-    assert all((a is None and b is None) or np.array_equal(a, b)
-               for a, b in zip(tree.left_categories, plain.left_categories))
+    for name in ("is_categorical", "cat_len", "cat_values"):
+        assert np.array_equal(getattr(tree, name), getattr(plain, name))
     count = np.bincount(leaves, minlength=tree.n_nodes)
     is_leaf = tree.feature < 0
     # the rows the grower put in each leaf are the rows prediction routes there
