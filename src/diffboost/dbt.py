@@ -238,14 +238,16 @@ _KINDS = {
 }
 
 
-def _training_mse(tree, Z, target, config):
+def _training_mse(tree, leaf, target, config):
+    """MSE of ``tree`` on its training rows; ``leaf`` holds each row's leaf
+    from ``fit_tree`` unless the learning rate is 1."""
     # exact when the leaf learning rate is 1: leaves are means, so the fitted
     # SSE equals the root SSE minus the accumulated split gains
     if config.tree_params.learning_rate == 1.0:
         root_sse = float(((target - target.mean()) ** 2).sum())
         return max(root_sse - float(tree.split_gain.sum()), 0.0) / target.shape[0]
     with np.errstate(over="ignore"):         # _train rejects a non-finite MSE
-        return float(((target - predict_tree(tree, Z)) ** 2).mean())
+        return float(((target - tree.value[leaf]) ** 2).mean())
 
 
 def _train(train: Dataset, config: DbtConfig,
@@ -271,13 +273,15 @@ def _train(train: Dataset, config: DbtConfig,
 
     trees: list = [None] * (config.T + 1)
     log = {}
+    # each training row's leaf; only the MSE at a learning rate other than 1 reads it
+    leaf = None if config.tree_params.learning_rate == 1.0 else np.empty(setup.m, dtype=np.intp)
     for t in order:
         rng = streams.stream(config.seed, domain, t)
         eps = rng.standard_normal(setup.m)
         target = step(setup, sched, trees, t, eps, rng)
         trees[t] = fit_tree(setup.Z, target, setup.kinds_z, config.tree_params,
-                            presorted=setup.presorted)
-        log[t] = _training_mse(trees[t], setup.Z, target, config)
+                            presorted=setup.presorted, leaf_out=leaf)
+        log[t] = _training_mse(trees[t], leaf, target, config)
         if not np.isfinite(log[t]):
             raise ValueError(f"the training MSE at t={t} is not finite ({log[t]!r})")
 
@@ -321,7 +325,9 @@ def _reverse_chain(model, X, s_count, rng, clean_estimate):
     column, and a step tree routes a noisy value by its rank among the tree's
     thresholds on that column.  So each step routes one probe row per (held-out
     row, rank) pair that occurs, never one row per draw; see
-    :func:`diffboost.tree._predict_replicated`.
+    :func:`diffboost.tree._predict_replicated`.  The ranks come from a lookup
+    in a grid of cells over the tree's thresholds, exactly as a binary search
+    would give them (:func:`diffboost.tree._rank`).
     """
     sched = model.schedule
     m = X.shape[0]

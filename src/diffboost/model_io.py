@@ -55,12 +55,13 @@ def _pack_ensemble(trees, prefix, arrays):
             [getattr(t, name) for t in trees] + [np.empty(0, dtype=dtype)]).astype(dtype)
 
 
-def _check_ensemble(prefix, arrays, cat_feature, max_code):
+def _check_ensemble(prefix, arrays, n_categories, max_code):
     """Raise ``ValueError`` unless the packed node tables of one ensemble
-    describe trees that prediction can walk; ``cat_feature[f]`` says whether
-    input column f is categorical, and category codes lie below ``max_code``
-    (the ensemble's ``max_categorical_cardinality``, which no grown split
-    reaches).
+    describe trees that prediction can walk.  ``n_categories[f]`` is the
+    schema's category count of input column f, or -1 where f is numeric; a
+    split's codes lie below its column's count and below ``max_code`` (the
+    ensemble's ``max_categorical_cardinality``, which no grown split reaches).
+    The count bounds the category table that prediction builds.
 
     Children come after their parent (as the writer lays them out), so every
     walk from a root ends at a leaf.
@@ -68,6 +69,7 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
     def fail(what):
         raise ValueError(f"{prefix} trees: {what}")
 
+    cat_feature = n_categories >= 0
     a = {}
     for name, dtype in _ENSEMBLE_DTYPES.items():
         a[name] = arrays[f"{prefix}.{name}"]
@@ -101,12 +103,14 @@ def _check_ensemble(prefix, arrays, cat_feature, max_code):
     if ((cat_len < 0) | (cat_len > a["cat_values"].shape[0])).any() \
             or (cat_len[~is_cat] != 0).any() or cat_len.sum() != a["cat_values"].shape[0]:
         fail("category set lengths do not match the stored codes")
-    if ((a["cat_values"] < 0) | (a["cat_values"] >= max_code)).any():
+    codes = a["cat_values"]
+    if ((codes < 0) | (codes >= max_code)
+            | (codes >= np.repeat(n_categories[feature[is_cat]], cat_len[is_cat]))).any():
         fail("category code out of range")
 
 
-def _unpack_ensemble(prefix, arrays, cat_feature, max_code):
-    _check_ensemble(prefix, arrays, cat_feature, max_code)
+def _unpack_ensemble(prefix, arrays, n_categories, max_code):
+    _check_ensemble(prefix, arrays, n_categories, max_code)
     joined = {name: arrays[f"{prefix}.{name}"].astype(dtype) for name, _, dtype in _TREE_FIELDS}
     nodes = arrays[f"{prefix}.tree_offsets"]
     codes = np.cumsum(np.append(0, joined["cat_len"]))[nodes]   # where each tree's codes start
@@ -114,7 +118,7 @@ def _unpack_ensemble(prefix, arrays, cat_feature, max_code):
     for i in range(nodes.shape[0] - 1):
         fields = {name: a[nodes[i]:nodes[i + 1]] for name, a in joined.items()}
         fields["cat_values"] = joined["cat_values"][codes[i]:codes[i + 1]]
-        trees.append(DecisionTree(**fields, n_features=cat_feature.shape[0]))
+        trees.append(DecisionTree(**fields, n_features=n_categories.shape[0]))
     return trees
 
 
@@ -225,7 +229,8 @@ def _decode(header, blob) -> DbtModel:
                None if c["categories"] is None else tuple(c["categories"]))
         for c in header["schema"]["columns"]
     )
-    cat_feature = np.array([c.kind == CATEGORICAL for c in columns], dtype=bool)
+    n_categories = np.array([len(c.categories) if c.kind == CATEGORICAL else -1
+                             for c in columns], dtype=np.int64)
     # before the schedule, whose cost grows with the T the header claims
     n_step = arrays["step.tree_offsets"].size - 1
     if header["schedule"]["T"] != config.T or n_step != config.T:
@@ -236,17 +241,17 @@ def _decode(header, blob) -> DbtModel:
                                   header["schedule"]["beta_end"])
     mean_est = MeanEstimator(
         base_score=header["mean_estimator"]["base_score"],
-        trees=tuple(_unpack_ensemble("mean", arrays, cat_feature,
+        trees=tuple(_unpack_ensemble("mean", arrays, n_categories,
                                      mean_config.tree_params.max_categorical_cardinality)),
         shrinkage=header["mean_estimator"]["shrinkage"],
         loss=header["mean_estimator"]["loss"],
     )
     # step trees read (noisy response, covariates, mean-estimate)
-    step_cat = np.concatenate([[False], cat_feature, [False]])
+    step_categories = np.concatenate([[-1], n_categories, [-1]])
     std = header["standardization"]
     return DbtModel(
         schedule=sched, mean_est=mean_est,
-        step_trees=tuple(_unpack_ensemble("step", arrays, step_cat,
+        step_trees=tuple(_unpack_ensemble("step", arrays, step_categories,
                                           config.tree_params.max_categorical_cardinality)),
         config=config, mean_config=mean_config, columns=columns,
         response_name=header["schema"]["response"],

@@ -268,7 +268,7 @@ class _Fit:
         split on that column.
         """
         c = len(self.cat_features)
-        raw = self.X[:, self.cat_features]
+        raw = self.X.take(self.cat_features, axis=1)   # C order: a leaf gathers whole rows
         miss = np.isnan(raw) | (raw < 0)
         over = ~miss & (raw >= self.params.max_categorical_cardinality)
         k = max(int(np.max(raw, where=~(miss | over), initial=-1.0)) + 1, 2)
@@ -336,7 +336,7 @@ class _Fit:
         c, k = len(self.cat_features), self.cat_k
         yc = self.y[leaf.rows] - mean
         # only the root holds every row, in order
-        leaf_codes = self.cat_codes if n == self.n else self.cat_codes[leaf.rows]
+        leaf_codes = self.cat_codes if n == self.n else self.cat_codes.take(leaf.rows, axis=0)
         flat = leaf_codes.ravel()
         cnt = np.bincount(flat, minlength=c * (k + 2)).reshape(c, k + 2)
         ysum = np.bincount(flat, weights=np.repeat(yc, c),
@@ -378,7 +378,7 @@ class _Fit:
             leaf.best = None
             return
         mean = float(y_leaf.sum() / n)          # y_leaf.mean() bit for bit, with less overhead
-        sse = float(y_leaf @ y_leaf) - n * mean * mean
+        sse = float(np.einsum("i,i->", y_leaf, y_leaf)) - n * mean * mean   # no BLAS threads
         min_gain = _MIN_GAIN_REL * max(sse, 0.0)
 
         cands = []
@@ -643,6 +643,60 @@ def _walk_forest(trees: Sequence[DecisionTree], rows: np.ndarray):
         yield start, out.reshape(n_trees, b)
 
 
+# cells of ``_rank``'s grid per cut: most cells hold no cut, few hold two
+_CELLS_PER_CUT = 8
+
+
+def _rank(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(np.append(cuts, np.inf), values, side="left")`` for
+    sorted distinct ``cuts`` without NaN: the same integers, without a binary
+    search per value.
+
+    ``G = _CELLS_PER_CUT * len(cuts)`` cells of equal width span the cuts,
+    with one more cell on each side for everything beyond them.  A value's
+    cell ``c(v) = intp(clip((v - cuts[0]) * G / span + 1, 0, G + 1))`` comes
+    from ops that are each non-decreasing in ``v``, and the cuts take their
+    cells through the same ops.  So a cut in a lower cell than ``v`` lies
+    below it and a cut in a higher cell lies above it, and the rank of ``v``
+    is the count of cuts in lower cells plus whether the lowest cut in its
+    cell or above lies below it.  Only values in a cell holding two or more
+    cuts are searched.  NaN values, fewer than two cuts, or a span that is not finite
+    (a ``-inf`` cut, or an overflow) leave the whole call to the search.
+    """
+    k = cuts.size
+    if k >= 2:
+        g = _CELLS_PER_CUT * k
+        with np.errstate(over="ignore"):
+            span = cuts[-1] - cuts[0]
+            scale = g / span
+    if k < 2 or not (np.isfinite(span) and np.isfinite(scale)) or np.isnan(values).any():
+        return np.searchsorted(np.append(cuts, np.inf), values, side="left")
+
+    def cell(x):
+        """Each value's cell, as a float in [0, G + 1]."""
+        with np.errstate(over="ignore"):       # a far value overflows to inf, then clips
+            f = np.subtract(x, cuts[0])
+            f *= scale
+        f += 1.0
+        return np.clip(f, 0.0, g + 1.0, out=f)
+
+    below = np.searchsorted(cell(cuts).astype(np.intp), np.arange(g + 2), side="left")
+    # the lowest cut in each cell or above it; one above a value's cell is above the value
+    lowest = np.append(cuts, np.inf)[below]
+    f = cell(values)
+    c = f.astype(np.intp)
+    np.take(lowest, c, out=f, mode="clip")      # in range already; "raise" would copy
+    above = f < values
+    del f
+    rank = below.take(c, mode="clip")
+    rank += above
+    crowded = np.diff(below, append=k) > 1
+    if crowded.any():
+        hit = np.flatnonzero(crowded.take(c, mode="clip"))
+        rank[hit] = np.searchsorted(cuts, values[hit], side="left")
+    return rank
+
+
 def _predict_replicated(tree: DecisionTree, base: np.ndarray, col: int,
                         values: np.ndarray, group: np.ndarray) -> np.ndarray:
     """``predict_tree(tree, rows)`` for the rows ``base[group]`` with column
@@ -651,15 +705,17 @@ def _predict_replicated(tree: DecisionTree, base: np.ndarray, col: int,
     ``col`` must be numeric in ``tree``.  A node on ``col`` sends ``v`` left
     iff ``v <= thr``, so a value's route through the tree is fixed by its
     rank: the number of the tree's distinct thresholds ``Θ`` on ``col`` that
-    lie strictly below it, with NaN ranked ``|Θ| + 1``.  Only the (group,
-    rank) pairs that occur are routed, each as one probe row holding a value
-    of that rank (``Θ[r]``, then ``+inf``, then NaN), so there are never more
-    probe rows than values.
+    lie strictly below it, with NaN ranked ``|Θ| + 1``.  ``_rank`` finds it
+    with a table lookup in a grid over ``Θ``, not a binary search per value.
+    Only the (group, rank) pairs that occur are routed, each as one probe row
+    holding a value of that rank (``Θ[r]``, then ``+inf``, then NaN), so
+    there are never more probe rows than values.
     """
+    cuts = np.unique(tree.threshold[tree.feature == col])
     # one value of each rank; +inf as a last cut ranks NaN, which sorts after it
-    rank_value = np.append(np.unique(tree.threshold[tree.feature == col]), (np.inf, np.nan))
+    rank_value = np.append(cuts, (np.inf, np.nan))
     k = rank_value.size
-    slot = np.searchsorted(rank_value[:-1], values, side="left")
+    slot = _rank(cuts, values)
     slot += group * k
     used = np.zeros(base.shape[0] * k, dtype=bool)
     used[slot] = True

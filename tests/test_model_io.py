@@ -323,6 +323,28 @@ def test_category_set_lengths_whose_sum_wraps_are_rejected(tmp_path):
         load_model(path)
 
 
+def test_category_code_past_its_column_is_rejected(tmp_path, capsys):
+    # a cap of 10**13 lets a code of 10**12 past the cap check; routing by it
+    # would build a category table of about 109 TiB
+    path = tmp_path / "m.dbtm"
+    save_model(golden_categorical(), path)
+    raw = path.read_bytes()
+    header, blob_start = _header(raw)
+    for config in (header["config"], header["mean_config"]):
+        config["tree_params"]["max_categorical_cardinality"] = 10**13
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
+    load_model(path)                            # the raised cap alone still loads
+    _patch_array(path, "mean.cat_values", 0, 10**12)
+    data = tmp_path / "d.csv"
+    save_csv(categorical_dataset(n=20, seed=14), data)
+    with time_limit(30):
+        with pytest.raises(ModelFormatError, match="category code out of range"):
+            load_model(path)
+        assert main(["sample", "--model", str(path), "--data", str(data)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_underflowing_schedule_in_file_is_rejected(tmp_path):
     tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
     model = train_dbt(mixed_dataset(n=40, seed=11),

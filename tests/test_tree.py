@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffboost.tree import (
     CATEGORICAL,
     NUMERIC,
     TreeParams,
     _predict_replicated,
+    _rank,
     apply_tree,
     fit_tree,
     gain_importance,
@@ -378,3 +381,60 @@ def test_replicated_prediction_matches_the_materialized_rows(seed, shape, n, mis
     rows[:, 0] = values
     got = _predict_replicated(tree, base, 0, values, group)
     assert np.array_equal(got, predict_tree(tree, rows))
+
+
+@st.composite
+def cut_sets(draw):
+    """Sorted distinct cuts without NaN, 0-80 of them: any floats (huge, tiny,
+    infinite, signed zeros), rounded ones that tie, and a run of floats a few
+    ulps apart (adjacent bit patterns are adjacent floats)."""
+    free = draw(st.lists(st.floats(allow_nan=False), max_size=30))
+    rounded = draw(st.lists(st.floats(-3, 3).map(lambda x: round(x, 1)), max_size=30))
+    base = draw(st.floats(allow_nan=False, allow_infinity=False))
+    steps = draw(st.lists(st.integers(1, 3), max_size=19))
+    run = (np.array([base]).view(np.int64) + np.cumsum([0] + steps)).view(np.float64)
+    cuts = np.concatenate([free, rounded, run])
+    return np.unique(cuts[~np.isnan(cuts)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(cuts=cut_sets(), extra=st.lists(st.floats(allow_nan=False), max_size=20),
+       with_nan=st.booleans())
+@example(cuts=np.array([-1e308, 1e308]), extra=[0.0], with_nan=False)        # span overflows
+@example(cuts=np.array([-8e307, 0.0, 8e307]), extra=[1.7e308, -1.7e308], with_nan=False)
+@example(cuts=np.array([0.0, 5e-324]), extra=[], with_nan=False)             # G / span overflows
+@example(cuts=np.array([5e-324, 1e-323, 1e-300]), extra=[], with_nan=False)
+@example(cuts=np.array([-np.inf, 0.0, 1.0]), extra=[], with_nan=False)       # missing alone
+@example(cuts=np.array([0.0, 1.0, np.inf]), extra=[], with_nan=False)
+@example(cuts=np.array([-0.0, 1.0]), extra=[0.0, -0.0], with_nan=False)
+@example(cuts=np.array([1.0, 2.0, 3.0]), extra=[2.5], with_nan=True)
+def test_rank_matches_searchsorted(cuts, extra, with_nan):
+    with np.errstate(over="ignore"):            # the float next to the largest is inf
+        near = np.concatenate([np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+    values = np.concatenate([cuts, near, [np.inf, -np.inf, 0.0, -0.0], extra,
+                             [np.nan] * with_nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no overflow warning may escape
+        got = _rank(cuts, values)
+    assert np.array_equal(got, np.searchsorted(np.append(cuts, np.inf), values, side="left"))
+
+
+def test_rank_searches_only_values_in_cells_with_several_cuts(monkeypatch):
+    # 4 cuts make 32 cells of width 1/16 over [0, 2]; the two adjacent floats
+    # at 0 share one, and so do the values 0, 5e-324 and 1e-3
+    cuts = np.array([0.0, 5e-324, 1.0, 2.0])
+    values = np.array([-1.0, 0.0, 5e-324, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.0, np.inf, -np.inf])
+    searched = []
+    real = np.searchsorted
+
+    def spy(a, v, side="left"):
+        if a.dtype == np.float64:               # not the search that builds the grid
+            searched.append(np.array(v))
+        return real(a, v, side=side)
+    monkeypatch.setattr(np, "searchsorted", spy)
+    got = _rank(cuts, values)
+    spread = _rank(np.array([0.0, 1.0, 2.0, 3.0]), values)
+    monkeypatch.undo()
+    assert np.array_equal(got, np.searchsorted(np.append(cuts, np.inf), values, side="left"))
+    assert np.array_equal(spread, np.searchsorted([0.0, 1.0, 2.0, 3.0, np.inf], values))
+    assert len(searched) == 1 and sorted(searched[0]) == [0.0, 5e-324, 1e-3]
