@@ -660,8 +660,9 @@ def _rank(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
     below it and a cut in a higher cell lies above it, and the rank of ``v``
     is the count of cuts in lower cells plus whether the lowest cut in its
     cell or above lies below it.  Only values in a cell holding two or more
-    cuts are searched.  NaN values, fewer than two cuts, or a span that is not finite
-    (a ``-inf`` cut, or an overflow) leave the whole call to the search.
+    cuts are searched.  NaN values, fewer than two cuts, or a span that is
+    not finite (a ``-inf`` cut, or an overflow) leave the whole call to the
+    search.
     """
     k = cuts.size
     if k >= 2:
