@@ -5,7 +5,8 @@ Subcommands: ``train``, ``sample``, ``eval``, ``importance``, ``schedule``,
 ``key=value`` config file, then explicit flags, in that order; every command
 echoes its effective configuration to stderr before doing work.  Logs go to
 stderr, data products to stdout or files.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 internal error.
+error (a size that does not fit in memory among them), 2 data error, 3
+internal error.
 """
 
 from __future__ import annotations
@@ -222,6 +223,13 @@ def _eval_classification(model, truth, samples, alphas, threshold):
     return report, thr
 
 
+def _check_regression_samples(s_count, bins):
+    """Reject a sample count the regression metrics cannot score, before any work."""
+    if s_count < max(2, bins):
+        raise _UsageError(f"--samples {s_count}: regression metrics need at least 2 "
+                          f"samples per row and at least --qice-bins ({bins})")
+
+
 def _run_fold(packed):
     """Train/evaluate one fold; module-level so process pools can pickle it."""
     (data, spec, model_kind, dbt_cfg, mean_cfg, s_count, seed, bins) = packed
@@ -232,6 +240,8 @@ def _run_fold(packed):
 
 
 def cmd_eval(args) -> int:
+    if args.qice_bins < 1:
+        raise _UsageError("--qice-bins must be >= 1")
     if args.folds is not None:
         cfg = _effective_config(args)
         _echo_config("eval", {**cfg, "samples": args.samples, "folds": args.folds})
@@ -240,6 +250,8 @@ def cmd_eval(args) -> int:
             raise _UsageError(f"--{given[0]} is a single-model flag; --folds retrains per fold")
         if args.folds < 1 or args.threads is not None and args.threads < 1:
             raise _UsageError("--folds and --threads must be >= 1")
+        s_count = 100 if args.samples is None else args.samples
+        _check_regression_samples(s_count, args.qice_bins)
         data = _training_data(args, cfg)
         dbt_cfg, mean_cfg = _build_configs(cfg)
         if dbt_cfg.task != REGRESSION:
@@ -248,7 +260,7 @@ def cmd_eval(args) -> int:
         fraction = SplitSpec.train_fraction if args.train_fraction is None else args.train_fraction
         jobs = [(data, SplitSpec(train_fraction=fraction, fold_seed=seed,
                                  fold_index=i),
-                 cfg["model-kind"], dbt_cfg, mean_cfg, args.samples or 100, seed,
+                 cfg["model-kind"], dbt_cfg, mean_cfg, s_count, seed,
                  args.qice_bins)
                 for i in range(args.folds)]
         cpus = os.cpu_count() or 1
@@ -279,7 +291,9 @@ def cmd_eval(args) -> int:
         raise _UsageError(f"--{given[0]} is a --folds flag; eval --model retrains nothing")
     model = load_model(args.model)
     task = model.config.task
-    s_count = args.samples or (10 if task == BINARY else 100)
+    s_count = (10 if task == BINARY else 100) if args.samples is None else args.samples
+    if task == REGRESSION:
+        _check_regression_samples(s_count, args.qice_bins)
     seed = model.config.seed if args.seed is None else args.seed
     _echo_config("eval", {"model": args.model, "data": args.data, "samples": s_count,
                           "seed": seed})
@@ -316,12 +330,13 @@ def cmd_importance(args) -> int:
     else:
         ts = sorted({max(1, round(f * T)) for f in (1.0, 0.8, 0.6, 0.4, 0.2)} | {1},
                     reverse=True)
+    for t in ts:                          # before the output file is opened
+        if not 1 <= t <= T:
+            raise DataError(f"timestep {t} outside 1..{T}")
     names = ["noisy_response"] + [c.name for c in model.columns] + ["mean_estimate"]
     with _out_stream(args.out) as fh:
         fh.write("timestep,feature_index,feature_name,gain\n")
         for t in ts:
-            if not 1 <= t <= T:
-                raise DataError(f"timestep {t} outside 1..{T}")
             gains = gain_importance(model.step_trees[t - 1])
             order = np.argsort(-gains, kind="stable")
             for f in order:
@@ -446,6 +461,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:            # a size flag asked for more than there is
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:              # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

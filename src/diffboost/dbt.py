@@ -5,19 +5,20 @@ mean-estimate).  A model's ``kind`` says what the trees learn and where
 their noisy inputs come from in training:
 
 * ``"dbt"`` (sequential): each tree predicts the clean response.  Training
-  walks timesteps from T down to 1; the tree fitted at t+1 produces the noisy
-  inputs that the tree at t trains on, so the training-time computation graph
-  matches the sampling-time one.
+  walks timesteps from T down to 1, and the tree at t trains on the output of
+  the sampler's own reverse step through the tree fitted at t+1, so the
+  training-time computation graph matches the sampling-time one.
 * ``"card_t"`` (independent baseline, see :mod:`diffboost.card_t`): each tree
   predicts the forward-process noise of an independent forward draw at its
   own timestep, so timesteps share no state.
 
-Both kinds share one trainer loop and one sampler, :func:`sample`: draw from
-the prior, estimate the clean response, draw the next noisy value from the
-tractable posterior, repeat.  The S draws of a held-out row share every tree
-input but the noisy response, and a tree routes that value by its rank among
-the tree's thresholds on it, so the sampler routes each step tree once per
-(held-out row, rank) pair that occurs rather than once per draw.
+Both kinds share one trainer loop and one sampler, :func:`sample`: a prior
+draw, then one reverse step per timestep, which estimates the clean response
+and draws the next noisy value from the tractable posterior.  The S draws of
+a held-out row share every tree input but the noisy response, and a tree
+routes that value by its rank among the tree's thresholds on it, so each step
+routes a step tree once per (held-out row, rank) pair that occurs rather than
+once per draw (:func:`diffboost.tree._predict_replicated`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .schedule import (
     posterior_sample,
     y0_from_noise,
 )
-from .tree import NUMERIC, TreeParams, _predict_replicated, _presort, fit_tree, predict_tree
+from .tree import NUMERIC, TreeParams, _predict_replicated, _presort, fit_tree
 
 __all__ = [
     "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
@@ -190,32 +191,54 @@ class _TrainingSetup:
         fphi = np.empty(train.n_rows)
         self.mean_est = fit_mean_estimator(X, mean_target, train.kinds(), mean_config,
                                            fitted_out=fphi)
-        mu = fphi if config.prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros_like(fphi)
-
-        reps = config.n_noise
-        n = train.n_rows
-        self.m = n * reps
+        self.base, mu = _tree_inputs(X, fphi, config.prior_mean_mode)
+        reps = self.n_noise = config.n_noise
+        self.m = train.n_rows * reps
         self.kinds_z = [NUMERIC] + train.kinds() + [NUMERIC]
-        self.Z = np.empty((self.m, train.n_features + 2))
-        self.Z[:, 1:-1] = np.tile(X, (reps, 1))
-        self.Z[:, -1] = np.tile(fphi, reps)
+        self.Z = np.tile(self.base, (reps, 1))
         self.y0_rep = np.tile(y0, reps)
         self.mu_rep = np.tile(mu, reps)
         # static numeric columns keep the same order for every timestep's tree
         self.presorted = _presort(self.Z, [j for j, kind in enumerate(self.kinds_z)
                                            if j > 0 and kind == NUMERIC])
 
+    @functools.cached_property
+    def group(self):
+        """The training row behind each row of ``Z``, for routing through ``base``."""
+        return np.tile(np.arange(self.base.shape[0]), self.n_noise)
+
+
+def _tree_inputs(X, fphi, prior_mean_mode):
+    """``(base, mu)``: step-tree input rows (column 0 left for the noisy response,
+    then ``X``, then ``fphi``) and the chain's prior mean, ``fphi`` or zero."""
+    base = np.empty((X.shape[0], X.shape[1] + 2))
+    base[:, 1:-1] = X
+    base[:, -1] = fphi
+    mu = fphi if prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros_like(fphi)
+    return base, mu
+
+
+def _reverse_step(sched, tree, base, group, y, mu_rep, t, rng, predicts_noise):
+    """One reverse step through ``tree`` from the noisy values ``y`` at t of
+    the rows ``base[group]``: the clean-response estimate at t and, for t > 1,
+    a posterior draw at t-1 (else None)."""
+    pred = _predict_replicated(tree, base, 0, y, group)
+    # a noise prediction gives the clean response by inverting the forward draw
+    y0_hat = y0_from_noise(sched, y, pred, mu_rep, t) if predicts_noise else pred
+    if t == 1:
+        return y0_hat, None
+    return y0_hat, posterior_sample(sched, posterior_mean(sched, y, y0_hat, mu_rep, t), t, rng)
+
 
 def _dbt_step(setup, sched, trees, t, eps, rng):
-    """Chain through the tree fitted at t+1; the target is the clean response."""
+    """Below T, a forward draw at t+1 and one reverse step through the tree
+    fitted at t+1, as sampling takes it; the target is the clean response."""
     if t == sched.T:
         setup.Z[:, 0] = setup.mu_rep + eps
     else:
         y_next = forward_sample(sched, setup.y0_rep, setup.mu_rep, t + 1, eps)
-        setup.Z[:, 0] = y_next
-        y0_hat = predict_tree(trees[t + 1], setup.Z)
-        mean = posterior_mean(sched, y_next, y0_hat, setup.mu_rep, t + 1)
-        setup.Z[:, 0] = posterior_sample(sched, mean, t + 1, rng)
+        setup.Z[:, 0] = _reverse_step(sched, trees[t + 1], setup.base, setup.group, y_next,
+                                      setup.mu_rep, t + 1, rng, predicts_noise=False)[1]
     return setup.y0_rep
 
 
@@ -300,9 +323,9 @@ def train_dbt(train: Dataset, config: DbtConfig = DbtConfig(),
               schedule: Optional[NoiseSchedule] = None) -> DbtModel:
     """Fit a ``"dbt"`` model: one clean-response tree per timestep, T down to 1.
 
-    At t = T the tree's noisy input column is a prior draw.  Below T, a fresh
-    forward draw at t+1 is pushed through the just-fitted tree for t+1 and the
-    posterior to produce the noisy inputs, replicating what sampling will do.
+    At t = T the tree's noisy input column is a prior draw.  Below T, it is a
+    fresh forward draw at t+1 taken through the sampler's reverse step with
+    the just-fitted tree for t+1.
     """
     return _train(train, config, mean_config, schedule, DBT)
 
@@ -316,43 +339,23 @@ def _encode_rows(model, rows) -> np.ndarray:
     return X
 
 
-def _reverse_chain(model, X, s_count, rng, clean_estimate):
-    """Shared reverse-time sampler; ``clean_estimate(y, pred, mu, t)`` turns
-    the noisy values ``y`` and the step tree's predictions ``pred`` at t into
-    the clean-response estimate.
-
-    The ``s_count`` draws of a held-out row differ only in the noisy-response
-    column, and a step tree routes a noisy value by its rank among the tree's
-    thresholds on that column.  So each step routes one probe row per (held-out
-    row, rank) pair that occurs, never one row per draw; see
-    :func:`diffboost.tree._predict_replicated`.  The ranks come from a lookup
-    in a grid of cells over the tree's thresholds, exactly as a binary search
-    would give them (:func:`diffboost.tree._rank`).
+def _reverse_chain(model, X, s_count, rng):
+    """``s_count`` clean-response draws per row of ``X``: a prior draw at T,
+    then one :func:`_reverse_step` per timestep down to 1, the step that also
+    makes each ``"dbt"`` tree's training inputs from its predecessor's output.
     """
     sched = model.schedule
     m = X.shape[0]
-    fphi = predict_mean(model.mean_est, X)
-    mu = fphi if model.config.prior_mean_mode == PRIOR_MEAN_ESTIMATOR else np.zeros(m)
-
-    base = np.empty((m, X.shape[1] + 2))     # column 0 is set per probe row
-    base[:, 1:-1] = X
-    base[:, -1] = fphi
+    base, mu = _tree_inputs(X, predict_mean(model.mean_est, X), model.config.prior_mean_mode)
     group = np.repeat(np.arange(m), s_count)
     mu_rep = mu[group]
+    predicts_noise = _KINDS[model.kind].predicts_noise
 
     y = mu_rep + rng.standard_normal(m * s_count)
-    y0_hat = None
     for t in range(sched.T, 0, -1):
-        pred = _predict_replicated(model.step_trees[t - 1], base, 0, y, group)
-        y0_hat = clean_estimate(y, pred, mu_rep, t)
-        if t > 1:
-            mean = posterior_mean(sched, y, y0_hat, mu_rep, t)
-            y = posterior_sample(sched, mean, t, rng)
+        y0_hat, y = _reverse_step(sched, model.step_trees[t - 1], base, group, y, mu_rep,
+                                  t, rng, predicts_noise)
     return y0_hat.reshape(m, s_count)
-
-
-def _clean_from_tree(y, pred, mu_rep, t):
-    return pred
 
 
 def sample(model: DbtModel, rows, s_count: int,
@@ -365,12 +368,7 @@ def sample(model: DbtModel, rows, s_count: int,
     """
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
-    X = _encode_rows(model, rows)
-    clean_estimate = _clean_from_tree
-    if _KINDS[model.kind].predicts_noise:
-        # invert the forward reparameterization around the predicted noise
-        clean_estimate = functools.partial(y0_from_noise, model.schedule)
-    out = _reverse_chain(model, X, s_count, rng, clean_estimate)
+    out = _reverse_chain(model, _encode_rows(model, rows), s_count, rng)
     if model.target_standardization is not None:
         m, s = model.target_standardization
         out = out * s + m

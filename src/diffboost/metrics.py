@@ -78,6 +78,8 @@ def qice(truth, samples, n_bins: int = 10) -> float:
     higher bin.  The score is the mean absolute deviation of the observed bin
     proportions from 1/n_bins, times 100.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     s = _as_matrix(samples)
     if s.shape[1] < n_bins:
         raise ValueError("need at least n_bins samples per row")

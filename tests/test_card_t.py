@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from diffboost import streams
+from diffboost import dbt, streams
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.data import Column, Dataset, toy_generate
 from diffboost.dbt import DbtConfig, _reverse_chain, sample, sample_dbt, train_dbt
 from diffboost.metrics import nll
-from diffboost.schedule import y0_from_noise
 from diffboost.tree import CATEGORICAL, NUMERIC, TreeParams
 
 FAST_TREES = TreeParams(num_leaves=15, min_samples_leaf=8)
@@ -54,20 +53,24 @@ def test_constant_dataset_noise_is_learnable():
     assert np.abs(samples - 2.5).max() <= 5 * spread
 
 
-def test_oracle_noise_predictor_reproduces_true_chain():
+def test_oracle_noise_predictor_reproduces_true_chain(monkeypatch):
     # on the constant dataset the ideal noise predictor is analytic; feeding it
-    # through the sampling chain must return the constant exactly
+    # through the sampling chain in place of the step trees must return the
+    # constant exactly
     ds = constant_dataset()
     cfg = tiny_config()
     model = train_card_t(ds, cfg)
     sched = model.schedule
+    timestep = {id(tree): t for t, tree in enumerate(model.step_trees, 1)}
 
-    def oracle_y0(y, pred, mu_rep, t):
-        eps_hat = (y - mu_rep * (1 - np.sqrt(sched.alpha_bar[t]))) \
+    def oracle_noise(tree, base, col, y, group):
+        t = timestep[id(tree)]
+        mu_rep = base[group, -1]          # the prior mean is the mean estimate
+        return (y - mu_rep * (1 - np.sqrt(sched.alpha_bar[t]))) \
             / np.sqrt(sched.one_minus_alpha_bar[t])
-        return y0_from_noise(sched, y, eps_hat, mu_rep, t)
 
-    out = _reverse_chain(model, ds.X[:8], 40, streams.stream(2, 2), oracle_y0)
+    monkeypatch.setattr(dbt, "_predict_replicated", oracle_noise)
+    out = _reverse_chain(model, ds.X[:8], 40, streams.stream(2, 2))
     m, s = model.target_standardization
     assert np.abs(out * s + m - 2.5).max() < 1e-9
 

@@ -198,7 +198,14 @@ def test_importance_blocks(toy_csv, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 5
     assert {l.split(",")[0] for l in lines[1:]} == {"6", "3", "1"}
 
-    assert main(["importance", "--model", model_path, "--timesteps", "99"]) == 2
+    # every timestep is checked before any output is written
+    capsys.readouterr()
+    assert main(["importance", "--model", model_path, "--timesteps", "2,99"]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "imp.csv"
+    assert main(["importance", "--model", model_path, "--timesteps", "2,99",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(toy_csv, tmp_path, capsys):
@@ -587,3 +594,75 @@ def test_non_finite_training_mse_stops_train(tmp_path, capsys, source):
     assert rc == 1
     assert "training MSE at t=2 is not finite" in capsys.readouterr().err
     assert not model.exists()
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("reached despite a bad flag")
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_qice_bins_below_one_is_a_usage_error(toy_csv, tmp_path, capsys, monkeypatch, bins):
+    model_path = _train(toy_csv, tmp_path)
+    for name in ("load_model", "load_csv", "_train_one"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    capsys.readouterr()
+    assert main(["eval", "--model", model_path, "--data", toy_csv, "--qice-bins", bins]) == 1
+    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+                 *_SMALL_FOLD_FLAGS, "--qice-bins", bins]) == 1
+    err = capsys.readouterr().err
+    assert err.count("--qice-bins must be >= 1") == 2 and "internal error" not in err
+
+
+@pytest.mark.parametrize("samples,bins", [("1", "1"), ("1", "2"), ("5", "10"), ("0", "1"),
+                                          ("-1", "1")])
+def test_eval_checks_samples_before_training(toy_csv, tmp_path, capsys, monkeypatch,
+                                             samples, bins):
+    model_path = _train(toy_csv, tmp_path)
+    monkeypatch.setattr(cli, "_train_one", _fail_if_called)
+    monkeypatch.setattr(cli, "_sample_model", _fail_if_called)
+    capsys.readouterr()
+    flags = ["--samples", samples, "--qice-bins", bins]
+    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+                 *_SMALL_FOLD_FLAGS, *flags]) == 1
+    assert main(["eval", "--model", model_path, "--data", toy_csv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"--samples {samples}: regression metrics need") == 2
+
+
+# the address-space limit of the child process that runs one command
+_CHILD_MEMORY = 2 * 1024 ** 3
+_LIMITED_MAIN = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_MEMORY}, {_CHILD_MEMORY}))
+from diffboost.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command,size", [("sample", 10**12), ("sample", 10**8),
+                                          ("train", 10**9), ("toy", 10**12),
+                                          ("eval", 10**12)])
+def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size):
+    import os
+    import subprocess
+    import sys
+    import diffboost
+    n = str(size)
+    if command == "sample":
+        argv = ["sample", "--model", _train(toy_csv, tmp_path), "--data", toy_csv, "--samples", n]
+    elif command == "train":
+        argv = ["train", "--data", toy_csv, "--out", str(tmp_path / "m.dbtm"), *TRAIN_FLAGS,
+                "--n-noise", n]
+    elif command == "toy":
+        argv = ["toy", "--task", "a", "--n", n, "--out", str(tmp_path / "t.csv")]
+    else:                                 # one worker: no process pool starts
+        argv = ["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+                *_SMALL_FOLD_FLAGS, "--samples", n]
+    root = str(Path(diffboost.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 1, done.stderr
+    assert "not enough memory" in done.stderr
+    assert "internal error" not in done.stderr

@@ -85,6 +85,12 @@ def test_qice_upper_bound():
         assert 0.0 <= val <= 2 * (n_bins - 1) / n_bins**2 * 100 + 1e-9
 
 
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_qice_rejects_fewer_than_one_bin(n_bins):
+    with pytest.raises(ValueError, match="n_bins must be >= 1"):
+        qice(np.zeros(4), np.zeros((4, 5)), n_bins=n_bins)
+
+
 def test_piw_hand_cases():
     assert np.allclose(piw(np.full((3, 9), 2.0)), 0.0)
     grid = np.arange(101, dtype=float)[None, :]
