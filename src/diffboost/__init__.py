@@ -3,7 +3,6 @@ per diffusion timestep, trained sequentially, plus an independently-trained
 per-timestep baseline and the full evaluation protocol."""
 
 from .boosting import MeanEstimator, MeanEstimatorConfig, fit_mean_estimator, predict_mean
-from .card_t import sample_card_t, train_card_t
 from .data import (
     Column,
     DataError,
@@ -24,9 +23,12 @@ from .dbt import (
     classify,
     encode_prototypes,
     sample,
+    sample_card_t,
     sample_dbt,
+    train_card_t,
     train_dbt,
 )
+from . import card_t  # noqa: F401  (keeps diffboost.card_t an attribute of the package)
 from .metrics import (
     DeferralReport,
     TTestResult,

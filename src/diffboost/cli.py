@@ -23,7 +23,6 @@ import numpy as np
 
 from . import streams
 from .boosting import LOGISTIC, SQUARED, MeanEstimatorConfig
-from .card_t import train_card_t
 from .data import (
     DataError,
     SplitSpec,
@@ -35,7 +34,7 @@ from .data import (
     toy_generate,
 )
 from .dbt import (BINARY, CARD_T, DBT, PRIOR_MEAN_ESTIMATOR, PRIOR_ZERO, REGRESSION,
-                  DbtConfig, classify, sample, train_dbt)
+                  DbtConfig, classify, sample, train_card_t, train_dbt)
 from .metrics import (
     deferral_report,
     format_mean_std,
@@ -289,15 +288,26 @@ def cmd_eval(args) -> int:
              if getattr(args, k.replace("-", "_")) is not None]
     if given:
         raise _UsageError(f"--{given[0]} is a --folds flag; eval --model retrains nothing")
+    for flag, values in (("threshold", [args.threshold]), ("alpha", args.alpha or [])):
+        bad = [v for v in values if v is not None and not 0.0 < v < 1.0]
+        if bad:
+            raise _UsageError(f"--{flag} {bad[0]!r} must lie in (0, 1)")
     model = load_model(args.model)
     task = model.config.task
     s_count = (10 if task == BINARY else 100) if args.samples is None else args.samples
     if task == REGRESSION:
+        given = [k for k in ("threshold", "alpha") if getattr(args, k) is not None]
+        if given:
+            raise _UsageError(f"--{given[0]} is a binary-model flag; {args.model} "
+                              f"is a regression model")
         _check_regression_samples(s_count, args.qice_bins)
     seed = model.config.seed if args.seed is None else args.seed
     _echo_config("eval", {"model": args.model, "data": args.data, "samples": s_count,
                           "seed": seed})
     data = load_csv(args.data, response=args.response)
+    if task == BINARY and not np.isin(data.y, (0.0, 1.0)).all():
+        raise DataError(f"{args.data}: response column {data.response_name!r} holds a "
+                        f"label other than 0 or 1, which a binary model cannot score")
     samples = _sample_model(model, data, s_count, seed)
     with _out_stream(args.out) as fh:
         if task == BINARY:
@@ -463,7 +473,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:            # a size flag asked for more than there is
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        print(f"error: not enough memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
     except Exception as exc:              # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

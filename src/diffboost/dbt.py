@@ -1,4 +1,4 @@
-"""Per-timestep diffusion trees: the sequential trainer and its CARD-T ablation.
+"""Per-timestep diffusion trees: the sequential model and its CARD-T ablation.
 
 One regression tree per timestep reads (noisy response, covariates,
 mean-estimate).  A model's ``kind`` says what the trees learn and where
@@ -8,17 +8,18 @@ their noisy inputs come from in training:
   walks timesteps from T down to 1, and the tree at t trains on the output of
   the sampler's own reverse step through the tree fitted at t+1, so the
   training-time computation graph matches the sampling-time one.
-* ``"card_t"`` (independent baseline, see :mod:`diffboost.card_t`): each tree
+* ``"card_t"`` (the independent baseline, :func:`train_card_t`): each tree
   predicts the forward-process noise of an independent forward draw at its
   own timestep, so timesteps share no state.
 
-Both kinds share one trainer loop and one sampler, :func:`sample`: a prior
-draw, then one reverse step per timestep, which estimates the clean response
-and draws the next noisy value from the tractable posterior.  The S draws of
-a held-out row share every tree input but the noisy response, and a tree
-routes that value by its rank among the tree's thresholds on it, so each step
-routes a step tree once per (held-out row, rank) pair that occurs rather than
-once per draw (:func:`diffboost.tree._predict_replicated`).
+Both kinds share one trainer loop, one schedule source (the config's T and
+betas) and one sampler, :func:`sample`: a prior draw, then one reverse step
+per timestep, which estimates the clean response and draws the next noisy
+value from the tractable posterior.  The S draws of a held-out row share
+every tree input but the noisy response, and a tree routes that value by its
+rank among the tree's thresholds on it, so each step routes a step tree once
+per (held-out row, rank) pair that occurs rather than once per draw
+(:func:`diffboost.tree._predict_replicated`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .schedule import (
 from .tree import NUMERIC, TreeParams, _predict_replicated, _presort, fit_tree
 
 __all__ = [
-    "DbtConfig", "DbtModel", "train_dbt", "sample_dbt", "sample",
+    "DbtConfig", "DbtModel", "train_dbt", "train_card_t", "sample", "sample_dbt", "sample_card_t",
     "encode_prototypes", "classify",
     "REGRESSION", "BINARY", "PRIOR_MEAN_ESTIMATOR", "PRIOR_ZERO",
     "DBT", "CARD_T",
@@ -118,6 +119,9 @@ class DbtModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.step_trees) != self.config.T:
             raise ValueError("need exactly one tree per timestep")
+        c, s = self.config, self.schedule
+        if (s.T, s.beta_start, s.beta_end) != (c.T, c.beta_start, c.beta_end):
+            raise ValueError("the schedule's (T, beta_start, beta_end) are not the config's")
 
 
 def encode_prototypes(labels, epsilon: float = 0.01) -> np.ndarray:
@@ -274,8 +278,7 @@ def _training_mse(tree, leaf, target, config):
 
 
 def _train(train: Dataset, config: DbtConfig,
-           mean_config: Optional[MeanEstimatorConfig],
-           schedule: Optional[NoiseSchedule], kind: str,
+           mean_config: Optional[MeanEstimatorConfig], kind: str,
            order: Optional[Sequence[int]] = None) -> DbtModel:
     """Fit the mean estimator, then one tree per timestep in ``order``
     (default T down to 1).
@@ -284,10 +287,7 @@ def _train(train: Dataset, config: DbtConfig,
     draws fresh noise from a stream keyed by (seed, kind, t); the kind's step
     hook turns it into the noisy-input column and names the tree's target.
     """
-    sched = schedule if schedule is not None else build_linear_schedule(
-        config.T, config.beta_start, config.beta_end)
-    if sched.T != config.T:
-        raise ValueError(f"schedule has T={sched.T}, config expects {config.T}")
+    sched = build_linear_schedule(config.T, config.beta_start, config.beta_end)
     order = list(order) if order is not None else list(range(config.T, 0, -1))
     if sorted(order) != list(range(1, config.T + 1)):
         raise ValueError("timestep_order must be a permutation of 1..T")
@@ -319,15 +319,26 @@ def _train(train: Dataset, config: DbtConfig,
 
 
 def train_dbt(train: Dataset, config: DbtConfig = DbtConfig(),
-              mean_config: Optional[MeanEstimatorConfig] = None,
-              schedule: Optional[NoiseSchedule] = None) -> DbtModel:
+              mean_config: Optional[MeanEstimatorConfig] = None) -> DbtModel:
     """Fit a ``"dbt"`` model: one clean-response tree per timestep, T down to 1.
 
     At t = T the tree's noisy input column is a prior draw.  Below T, it is a
     fresh forward draw at t+1 taken through the sampler's reverse step with
     the just-fitted tree for t+1.
     """
-    return _train(train, config, mean_config, schedule, DBT)
+    return _train(train, config, mean_config, DBT)
+
+
+def train_card_t(train: Dataset, config: DbtConfig = DbtConfig(),
+                 mean_config: Optional[MeanEstimatorConfig] = None,
+                 timestep_order: Optional[Sequence[int]] = None) -> DbtModel:
+    """Fit a ``"card_t"`` model on (noisy response -> forward noise) pairs.
+
+    Each timestep draws its own noise from a stream keyed by (seed, t), so any
+    ``timestep_order`` (default T down to 1) produces a bit-identical model;
+    the parameter exists because nothing couples the timesteps.
+    """
+    return _train(train, config, mean_config, CARD_T, timestep_order)
 
 
 def _encode_rows(model, rows) -> np.ndarray:
@@ -387,3 +398,9 @@ def sample_dbt(model: DbtModel, rows, s_count: int,
                rng: np.random.Generator) -> np.ndarray:
     """:func:`sample` for a ``"dbt"`` model; other kinds raise ``ValueError``."""
     return _sample_kind(DBT, model, rows, s_count, rng)
+
+
+def sample_card_t(model: DbtModel, rows, s_count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample` for a ``"card_t"`` model; other kinds raise ``ValueError``."""
+    return _sample_kind(CARD_T, model, rows, s_count, rng)

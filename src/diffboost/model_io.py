@@ -6,8 +6,9 @@ header length, a JSON header (inspectable with a text editor once past the
 header's ``arrays`` directory records.  Each ensemble stores every array
 field of ``tree.DecisionTree`` (``_TREE_FIELDS``), its trees laid end to end,
 and ``tree_offsets``, where each tree's nodes start.  Every array's header
-dtype must be the one this table gives it.  Schedule arrays are recomputed on
-load from the stored (T, beta_start, beta_end).  Writing is fully
+dtype must be the one this table gives it.  The schedule is rebuilt on load
+from the stored config's (T, beta_start, beta_end), which the header's
+``schedule`` entry must repeat.  Writing is fully
 deterministic: the same model always produces byte-identical files.
 """
 
@@ -233,12 +234,12 @@ def _decode(header, blob) -> DbtModel:
                              for c in columns], dtype=np.int64)
     # before the schedule, whose cost grows with the T the header claims
     n_step = arrays["step.tree_offsets"].size - 1
-    if header["schedule"]["T"] != config.T or n_step != config.T:
-        raise ValueError(f"T is {config.T} in the config and {header['schedule']['T']} in "
-                         f"the schedule, with {n_step} step trees stored")
-    sched = build_linear_schedule(header["schedule"]["T"],
-                                  header["schedule"]["beta_start"],
-                                  header["schedule"]["beta_end"])
+    if n_step != config.T:
+        raise ValueError(f"T is {config.T} in the config, with {n_step} step trees stored")
+    described = {"T": config.T, "beta_start": config.beta_start, "beta_end": config.beta_end}
+    if header["schedule"] != described:
+        raise ValueError(f"the schedule entry {header['schedule']} is not the config's {described}")
+    sched = build_linear_schedule(**described)
     mean_est = MeanEstimator(
         base_score=header["mean_estimator"]["base_score"],
         trees=tuple(_unpack_ensemble("mean", arrays, n_categories,

@@ -287,8 +287,6 @@ class _Fit:
         cut (ties to the lower feature) if its gain beats ``min_gain``."""
         lo, hi = msl, n - msl                  # legal left-side sizes
         q = len(self.block_features)
-        if lo > hi:
-            return None
         xv = leaf.xv[:q]
         cs = np.cumsum(leaf.yv[:q], axis=1, out=self.cs_scratch[:q, :n])
         cs -= mean * self.k1[:n]               # prefix sums of centered targets

@@ -135,3 +135,11 @@ def test_sequential_training_beats_independent_on_categorical_task():
     s_seq = sample_dbt(seq, test, 100, streams.stream(8, 8))
     s_ind = sample_card_t(ind, test, 100, streams.stream(8, 8))
     assert nll(test.y, s_seq) < nll(test.y, s_ind)
+
+
+def test_card_t_import_paths_name_one_function():
+    # the benchmark's tracer looks both functions up under diffboost.card_t
+    import diffboost
+    import diffboost.card_t
+    assert diffboost.card_t.train_card_t is dbt.train_card_t is diffboost.train_card_t
+    assert diffboost.card_t.sample_card_t is dbt.sample_card_t is diffboost.sample_card_t

@@ -260,12 +260,13 @@ def _rewrite_header(path, edit):
     lambda h: h.pop("positive_rate"),
     lambda h: h["config"]["tree_params"].update(bogus=1),
     lambda h: h["config"].update(T=h["config"]["T"] + 1),
+    lambda h: h["schedule"].update(beta_end=0.05),
     lambda h: h.update(kind="nope"),
     # numpy parses a comma in a dtype string as a record format and raises SyntaxError
     lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype=",f8"),
     lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype="f8,,"),
-], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "unknown_kind",
-        "comma_dtype", "trailing_comma_dtype"])
+], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "schedule_mismatch",
+        "unknown_kind", "comma_dtype", "trailing_comma_dtype"])
 def test_corrupt_model_header_is_a_data_error(toy_csv, tmp_path, capsys, edit):
     from diffboost.model_io import ModelFormatError, load_model
     model_path = _train(toy_csv, tmp_path)
@@ -336,6 +337,31 @@ def test_classification_threshold_override(tmp_path, capsys):
     rate = load_model(model_path).train_positive_rate
     assert f"vote threshold: {rate}" in err
 
+    # an override outside (0, 1) is refused before any file is read
+    for flag, value in (("--threshold", "1.5"), ("--threshold", "0"), ("--threshold", "-2"),
+                        ("--alpha", "7"), ("--alpha", "0")):
+        for path in (model_path, str(tmp_path / "missing.dbtm")):
+            assert main(["eval", "--model", path, "--data", str(data), flag, value]) == 1
+            captured = capsys.readouterr()
+            assert f"{flag} " in captured.err and "must lie in (0, 1)" in captured.err
+            assert captured.out == ""
+
+
+def test_binary_model_rejects_labels_other_than_0_or_1(toy_csv, tmp_path, capsys):
+    from diffboost.data import clf_toy_generate
+    data = tmp_path / "clf.csv"
+    save_csv(clf_toy_generate(200, seed=5), data)
+    model_path = str(tmp_path / "clf.dbtm")
+    assert main(["train", "--data", str(data), "--out", model_path,
+                 "--task", "binary", *TRAIN_FLAGS]) == 0
+    capsys.readouterr()
+    # toy a has the binary model's columns x0 and x1, and a real-valued response
+    assert main(["eval", "--model", model_path, "--data", toy_csv, "--samples", "4"]) == 2
+    captured = capsys.readouterr()
+    assert toy_csv in captured.err and "'y'" in captured.err
+    assert "other than 0 or 1" in captured.err
+    assert captured.out == ""
+
 
 def _scored(model_path, data_path, s_count, seed):
     from diffboost import streams
@@ -370,7 +396,10 @@ def test_eval_model_seed_zero_is_seed_zero(toy_csv, tmp_path, capsys):
     (["--config", "run.cfg"], "--config"),
     (["--threads", "64"], "--threads"),                  # fold-only flags
     (["--train-fraction", "0.3"], "--train-fraction"),
-], ids=["timesteps", "mcar_rate", "model_kind", "config", "threads", "train_fraction"])
+    (["--threshold", "0.7"], "--threshold is a binary-model flag"),
+    (["--alpha", "0.05"], "--alpha is a binary-model flag"),
+], ids=["timesteps", "mcar_rate", "model_kind", "config", "threads", "train_fraction",
+        "threshold", "alpha"])
 def test_eval_model_rejects_training_settings(toy_csv, tmp_path, capsys, extra, flag):
     model_path = _train(toy_csv, tmp_path)
     (tmp_path / "run.cfg").write_text("seed=2\n")
@@ -518,6 +547,17 @@ def test_csv_boundary_is_a_data_error(tmp_path, capsys, csv_text, sidecar):
 
 _SMALL_FOLD_FLAGS = ["--timesteps", "2", "--n-noise", "1", "--mean-trees", "1",
                      "--num-leaves", "3", "--samples", "10"]
+
+
+def test_memory_error_without_text_prints_no_dangling_colon(toy_csv, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "make_split", exhausted)
+    rc = main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1", *_SMALL_FOLD_FLAGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: not enough memory\n" in err
+    assert "not enough memory:" not in err
 
 
 @pytest.mark.parametrize("extra,flag", [(["--model", "m.dbtm"], "--model"),

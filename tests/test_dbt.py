@@ -170,9 +170,11 @@ def test_schema_mismatch_rejected():
 
 
 def test_schedule_T_mismatch_rejected():
-    ds = toy_generate("a", 120, seed=8)
-    with pytest.raises(ValueError, match="schedule has T"):
-        train_dbt(ds, tiny_config(T=8), schedule=build_linear_schedule(9))
+    # a model never carries a schedule that its config does not describe
+    model = train_dbt(toy_generate("a", 120, seed=8), tiny_config(T=8))
+    for other in (build_linear_schedule(9), build_linear_schedule(8, 1e-3, 0.05)):
+        with pytest.raises(ValueError, match="the schedule's"):
+            dataclasses.replace(model, schedule=other)
 
 
 def test_destandardization_equivariance_under_scaling():

@@ -355,7 +355,8 @@ def test_underflowing_schedule_in_file_is_rejected(tmp_path):
     raw = path.read_bytes()
     header, blob_start = _header(raw)
     near_one = float(np.nextafter(1.0, 0.0))
-    header["schedule"].update(beta_start=near_one, beta_end=near_one)
+    for entry in (header["config"], header["schedule"]):
+        entry.update(beta_start=near_one, beta_end=near_one)
     head = json.dumps(header).encode()
     path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
     with pytest.raises(ModelFormatError, match="underflows"):
