@@ -59,8 +59,7 @@ class MeanEstimatorConfig:
 class MeanEstimator:
     base_score: float
     trees: tuple                 # DecisionTree per boosting stage
-    shrinkage: float
-    loss: str
+    config: MeanEstimatorConfig  # the fit's settings; predictions read shrinkage and loss
 
     @property
     def n_trees(self) -> int:
@@ -127,8 +126,7 @@ def fit_mean_estimator(
     if fitted_out is not None:
         fitted_out[:] = _sigmoid(raw) if config.loss == LOGISTIC else raw
 
-    return MeanEstimator(base_score=base, trees=tuple(trees),
-                         shrinkage=config.shrinkage, loss=config.loss)
+    return MeanEstimator(base_score=base, trees=tuple(trees), config=config)
 
 
 def predict_mean(est: MeanEstimator, rows: np.ndarray) -> np.ndarray:
@@ -148,8 +146,8 @@ def predict_mean(est: MeanEstimator, rows: np.ndarray) -> np.ndarray:
     for start, values in _walk_forest(est.trees, rows):
         terms = np.empty((values.shape[0] + 1, values.shape[1]))
         terms[0] = est.base_score
-        np.multiply(est.shrinkage, values, out=terms[1:])
+        np.multiply(est.config.shrinkage, values, out=terms[1:])
         np.add.accumulate(terms, axis=0, out=terms)
         raw[start:start + values.shape[1]] = terms[-1]
-    out = _sigmoid(raw) if est.loss == LOGISTIC else raw
+    out = _sigmoid(raw) if est.config.loss == LOGISTIC else raw
     return out[0] if single else out

@@ -214,19 +214,18 @@ def _eval_regression(truth, samples, bins):
 
 def _eval_classification(model, truth, samples, alphas, threshold):
     thr = threshold if threshold is not None else model.train_positive_rate
-    if thr is None or not 0.0 < thr < 1.0:
-        thr = 0.5
     labels, probs = classify(samples, threshold=thr)
     tt = {a: paired_t_test(probs, a).reject for a in alphas}
     report = deferral_report(truth.astype(int), labels, piw(samples), tt)
     return report, thr
 
 
-def _check_regression_samples(s_count, bins):
-    """Reject a sample count the regression metrics cannot score, before any work."""
-    if s_count < max(2, bins):
-        raise _UsageError(f"--samples {s_count}: regression metrics need at least 2 "
-                          f"samples per row and at least --qice-bins ({bins})")
+def _check_samples(task, s_count, bins):
+    """Reject a sample count the task's metrics cannot score, before any work."""
+    if s_count < (max(2, bins) if task == REGRESSION else 2):
+        bins_rule = f" and at least --qice-bins ({bins})" if task == REGRESSION else ""
+        raise _UsageError(f"--samples {s_count}: {task} metrics need at least 2 "
+                          f"samples per row{bins_rule}")
 
 
 def _run_fold(packed):
@@ -250,7 +249,7 @@ def cmd_eval(args) -> int:
         if args.folds < 1 or args.threads is not None and args.threads < 1:
             raise _UsageError("--folds and --threads must be >= 1")
         s_count = 100 if args.samples is None else args.samples
-        _check_regression_samples(s_count, args.qice_bins)
+        _check_samples(cfg["task"], s_count, args.qice_bins)
         data = _training_data(args, cfg)
         dbt_cfg, mean_cfg = _build_configs(cfg)
         if dbt_cfg.task != REGRESSION:
@@ -300,7 +299,7 @@ def cmd_eval(args) -> int:
         if given:
             raise _UsageError(f"--{given[0]} is a binary-model flag; {args.model} "
                               f"is a regression model")
-        _check_regression_samples(s_count, args.qice_bins)
+    _check_samples(task, s_count, args.qice_bins)
     seed = model.config.seed if args.seed is None else args.seed
     _echo_config("eval", {"model": args.model, "data": args.data, "samples": s_count,
                           "seed": seed})
@@ -443,9 +442,9 @@ def build_parser():
     p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("schedule", help="posterior-coefficient table as CSV")
-    p.add_argument("--timesteps", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=1e-4)
-    p.add_argument("--beta-end", type=float, default=0.02)
+    p.add_argument("--timesteps", type=int, default=_DBT.T)
+    p.add_argument("--beta-start", type=float, default=_DBT.beta_start)
+    p.add_argument("--beta-end", type=float, default=_DBT.beta_end)
     p.add_argument("--out")
     p.set_defaults(func=cmd_schedule)
 

@@ -89,10 +89,15 @@ class DbtConfig:
         if self.task not in (REGRESSION, BINARY):
             raise ValueError(f"unknown task {self.task!r}")
 
+    @functools.cached_property
+    def schedule(self) -> NoiseSchedule:
+        """The linear schedule of (T, beta_start, beta_end), built on first use."""
+        return build_linear_schedule(self.T, self.beta_start, self.beta_end)
+
 
 @dataclass(frozen=True)
 class DbtModel:
-    """Trained model: schedule + mean estimator + one tree per timestep.
+    """Trained model: mean estimator + one tree per timestep on ``config.schedule``.
 
     ``step_trees[t - 1]`` is the tree for timestep t; each tree consumes the
     concatenated input (noisy response, covariates, mean-estimate), so its
@@ -102,11 +107,9 @@ class DbtModel:
     ``train_log`` holds per-timestep training MSE against each tree's target,
     in the order t = T down to 1.
     """
-    schedule: NoiseSchedule
     mean_est: MeanEstimator
     step_trees: tuple
     config: DbtConfig
-    mean_config: MeanEstimatorConfig
     columns: tuple                       # of Column; feature schema at training
     response_name: str
     target_standardization: Optional[tuple] = None   # (mean, std), regression only
@@ -119,9 +122,16 @@ class DbtModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.step_trees) != self.config.T:
             raise ValueError("need exactly one tree per timestep")
-        c, s = self.config, self.schedule
-        if (s.T, s.beta_start, s.beta_end) != (c.T, c.beta_start, c.beta_end):
-            raise ValueError("the schedule's (T, beta_start, beta_end) are not the config's")
+        # the task fixes which of the standardization and the positive rate a model holds
+        std, rate = self.target_standardization, self.train_positive_rate
+        if self.config.task == REGRESSION and (rate is not None or std is None or len(std) != 2
+                                               or not np.isfinite(std).all() or std[1] <= 0):
+            raise ValueError("a regression model needs a finite (mean, std > 0) "
+                             "standardization and no positive rate")
+        if self.config.task == BINARY and (std is not None or rate is None or not 0 < rate < 1
+                                           or self.mean_est.config.loss != LOGISTIC):
+            raise ValueError("a binary model needs a positive rate in (0, 1), no "
+                             "standardization and a logistic mean estimator")
 
 
 def encode_prototypes(labels, epsilon: float = 0.01) -> np.ndarray:
@@ -172,7 +182,6 @@ class _TrainingSetup:
         if mean_config is None:
             loss = LOGISTIC if config.task == BINARY else SQUARED
             mean_config = MeanEstimatorConfig(loss=loss)
-        self.mean_config = mean_config
 
         X = train.X
         if config.task == BINARY:
@@ -287,7 +296,7 @@ def _train(train: Dataset, config: DbtConfig,
     draws fresh noise from a stream keyed by (seed, kind, t); the kind's step
     hook turns it into the noisy-input column and names the tree's target.
     """
-    sched = build_linear_schedule(config.T, config.beta_start, config.beta_end)
+    sched = config.schedule
     order = list(order) if order is not None else list(range(config.T, 0, -1))
     if sorted(order) != list(range(1, config.T + 1)):
         raise ValueError("timestep_order must be a permutation of 1..T")
@@ -309,8 +318,7 @@ def _train(train: Dataset, config: DbtConfig,
             raise ValueError(f"the training MSE at t={t} is not finite ({log[t]!r})")
 
     return DbtModel(
-        schedule=sched, mean_est=setup.mean_est, step_trees=tuple(trees[1:]),
-        config=config, mean_config=setup.mean_config,
+        mean_est=setup.mean_est, step_trees=tuple(trees[1:]), config=config,
         columns=tuple(train.columns), response_name=train.response_name,
         target_standardization=setup.standardization,
         train_positive_rate=setup.positive_rate,
@@ -355,7 +363,7 @@ def _reverse_chain(model, X, s_count, rng):
     then one :func:`_reverse_step` per timestep down to 1, the step that also
     makes each ``"dbt"`` tree's training inputs from its predecessor's output.
     """
-    sched = model.schedule
+    sched = model.config.schedule
     m = X.shape[0]
     base, mu = _tree_inputs(X, predict_mean(model.mean_est, X), model.config.prior_mean_mode)
     group = np.repeat(np.arange(m), s_count)

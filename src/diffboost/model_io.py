@@ -6,10 +6,11 @@ header length, a JSON header (inspectable with a text editor once past the
 header's ``arrays`` directory records.  Each ensemble stores every array
 field of ``tree.DecisionTree`` (``_TREE_FIELDS``), its trees laid end to end,
 and ``tree_offsets``, where each tree's nodes start.  Every array's header
-dtype must be the one this table gives it.  The schedule is rebuilt on load
-from the stored config's (T, beta_start, beta_end), which the header's
-``schedule`` entry must repeat.  Writing is fully
-deterministic: the same model always produces byte-identical files.
+dtype must be the one this table gives it.  Two header entries repeat
+another and must agree with it: ``schedule`` repeats the config's (T,
+beta_start, beta_end), and ``mean_estimator`` repeats ``mean_config``'s
+shrinkage and loss.  Writing is fully deterministic: the same model always
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .boosting import MeanEstimator, MeanEstimatorConfig
 from .data import Column
 from .dbt import DbtConfig, DbtModel
-from .schedule import build_linear_schedule
 from .tree import CATEGORICAL, DecisionTree, TreeParams
 
 __all__ = ["save_model", "load_model", "ModelFormatError", "FORMAT_VERSION", "MAGIC"]
@@ -123,6 +123,11 @@ def _unpack_ensemble(prefix, arrays, n_categories, max_code):
     return trees
 
 
+def _schedule_entry(config):
+    """The header's ``schedule`` entry: the config's (T, beta_start, beta_end)."""
+    return dict(T=config.T, beta_start=float(config.beta_start), beta_end=float(config.beta_end))
+
+
 def save_model(model, path) -> None:
     """Write a trained per-timestep model of either kind."""
     if not isinstance(model, DbtModel):
@@ -131,20 +136,14 @@ def save_model(model, path) -> None:
     _pack_ensemble(model.step_trees, "step", arrays)
     _pack_ensemble(model.mean_est.trees, "mean", arrays)
 
+    est = model.mean_est
     header = {
         "kind": model.kind,
         "config": dataclasses.asdict(model.config),
-        "mean_config": dataclasses.asdict(model.mean_config),
-        "mean_estimator": {
-            "base_score": model.mean_est.base_score,
-            "shrinkage": model.mean_est.shrinkage,
-            "loss": model.mean_est.loss,
-        },
-        "schedule": {
-            "T": model.schedule.T,
-            "beta_start": model.schedule.beta_start,
-            "beta_end": model.schedule.beta_end,
-        },
+        "mean_config": dataclasses.asdict(est.config),
+        "mean_estimator": {"base_score": est.base_score, "shrinkage": est.config.shrinkage,
+                           "loss": est.config.loss},
+        "schedule": _schedule_entry(model.config),
         "schema": {
             "response": model.response_name,
             "columns": [
@@ -218,12 +217,9 @@ def _decode(header, blob) -> DbtModel:
         buf = blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
         arrays[name] = np.frombuffer(buf, dtype=dtypes[name]).reshape(spec["shape"])
 
-    cfg = dict(header["config"])
-    cfg["tree_params"] = TreeParams(**cfg["tree_params"])
-    config = DbtConfig(**cfg)
-    mc = dict(header["mean_config"])
-    mc["tree_params"] = TreeParams(**mc["tree_params"])
-    mean_config = MeanEstimatorConfig(**mc)
+    config, mean_config = (
+        cls(**{**header[key], "tree_params": TreeParams(**header[key]["tree_params"])})
+        for key, cls in (("config", DbtConfig), ("mean_config", MeanEstimatorConfig)))
 
     columns = tuple(
         Column(c["name"], c["kind"],
@@ -233,28 +229,27 @@ def _decode(header, blob) -> DbtModel:
     n_categories = np.array([len(c.categories) if c.kind == CATEGORICAL else -1
                              for c in columns], dtype=np.int64)
     # before the schedule, whose cost grows with the T the header claims
-    n_step = arrays["step.tree_offsets"].size - 1
-    if n_step != config.T:
-        raise ValueError(f"T is {config.T} in the config, with {n_step} step trees stored")
-    described = {"T": config.T, "beta_start": config.beta_start, "beta_end": config.beta_end}
-    if header["schedule"] != described:
-        raise ValueError(f"the schedule entry {header['schedule']} is not the config's {described}")
-    sched = build_linear_schedule(**described)
-    mean_est = MeanEstimator(
-        base_score=header["mean_estimator"]["base_score"],
-        trees=tuple(_unpack_ensemble("mean", arrays, n_categories,
-                                     mean_config.tree_params.max_categorical_cardinality)),
-        shrinkage=header["mean_estimator"]["shrinkage"],
-        loss=header["mean_estimator"]["loss"],
-    )
+    for prefix, n_trees in (("step", config.T), ("mean", mean_config.n_trees)):
+        stored = arrays[f"{prefix}.tree_offsets"].size - 1
+        if stored != n_trees:
+            raise ValueError(f"{stored} {prefix} trees stored, where the config has {n_trees}")
+    if header["schedule"] != _schedule_entry(config):
+        raise ValueError(f"the schedule entry {header['schedule']} is not the config's")
+    est = header["mean_estimator"]
+    if [est["shrinkage"], est["loss"]] != [mean_config.shrinkage, mean_config.loss]:
+        raise ValueError("the mean_estimator entry's shrinkage or loss is not mean_config's")
+    config.schedule                         # built here so that an underflowing one is rejected
+    mean_trees = _unpack_ensemble("mean", arrays, n_categories,
+                                  mean_config.tree_params.max_categorical_cardinality)
+    mean_est = MeanEstimator(base_score=est["base_score"], trees=tuple(mean_trees),
+                             config=mean_config)
     # step trees read (noisy response, covariates, mean-estimate)
     step_categories = np.concatenate([[-1], n_categories, [-1]])
     std = header["standardization"]
     return DbtModel(
-        schedule=sched, mean_est=mean_est,
+        mean_est=mean_est, config=config, columns=columns,
         step_trees=tuple(_unpack_ensemble("step", arrays, step_categories,
                                           config.tree_params.max_categorical_cardinality)),
-        config=config, mean_config=mean_config, columns=columns,
         response_name=header["schema"]["response"],
         target_standardization=None if std is None else tuple(std),
         train_positive_rate=header["positive_rate"],

@@ -11,7 +11,7 @@ slot 0 is unused so code reads like the math.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,6 @@ class NoiseSchedule:
     gamma0: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
-    beta_start: float = field(default=float("nan"))
-    beta_end: float = field(default=float("nan"))
 
     def __post_init__(self):
         for name in ("beta", "alpha", "alpha_bar", "one_minus_alpha_bar",
@@ -117,7 +115,6 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
         T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
         one_minus_alpha_bar=omab, tilde_beta=tilde_beta,
         gamma0=gamma0, gamma1=gamma1, gamma2=gamma2,
-        beta_start=float(beta_start), beta_end=float(beta_end),
     )
 
 

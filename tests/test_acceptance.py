@@ -147,7 +147,7 @@ def test_criterion_04_training_dependency_structure(tmp_path):
     # sequential dependency: a perturbed predecessor changes the fitted tree
     model = train_dbt(ds, cfg)
     setup = _TrainingSetup(ds, cfg, None)
-    sched = model.schedule
+    sched = model.config.schedule
     t = 10
 
     def fit_step(prev_tree):

@@ -65,7 +65,7 @@ def test_squared_loss_non_increasing_per_stage():
     raw = np.full(300, est.base_score)
     losses = [np.mean((y - raw) ** 2)]
     for tree in est.trees:
-        raw = raw + est.shrinkage * predict_tree(tree, X)
+        raw = raw + est.config.shrinkage * predict_tree(tree, X)
         losses.append(np.mean((y - raw) ** 2))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -85,7 +85,7 @@ def test_logistic_loss_non_increasing_per_stage():
     raw = np.full(400, est.base_score)
     losses = [bce(raw)]
     for tree in est.trees:
-        raw = raw + est.shrinkage * predict_tree(tree, X)
+        raw = raw + est.config.shrinkage * predict_tree(tree, X)
         losses.append(bce(raw))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     probs = predict_mean(est, X)
@@ -191,7 +191,7 @@ def test_forest_walk_matches_the_per_tree_loop(seed, n, n_num, n_cat, n_trees, l
     per_tree = np.array([predict_tree(t, rows) for t in est.trees]).reshape(n_trees, m)
     raw = np.full(m, est.base_score)
     for values in per_tree:
-        raw = raw + est.shrinkage * values
+        raw = raw + est.config.shrinkage * values
     want = 1.0 / (1.0 + np.exp(-raw)) if loss == LOGISTIC else raw
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:

@@ -60,7 +60,7 @@ def test_oracle_noise_predictor_reproduces_true_chain(monkeypatch):
     ds = constant_dataset()
     cfg = tiny_config()
     model = train_card_t(ds, cfg)
-    sched = model.schedule
+    sched = model.config.schedule
     timestep = {id(tree): t for t, tree in enumerate(model.step_trees, 1)}
 
     def oracle_noise(tree, base, col, y, group):

@@ -7,13 +7,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import diffboost.cli as cli
 from diffboost.cli import _SETTINGS, main
-from diffboost.data import load_csv, save_csv, toy_generate
+from diffboost.data import clf_toy_generate, load_csv, save_csv, toy_generate
 
 
 @pytest.fixture()
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     save_csv(toy_generate("a", 160, seed=1), path)
+    return str(path)
+
+
+@pytest.fixture()
+def clf_csv(tmp_path):
+    path = tmp_path / "clf.csv"
+    save_csv(clf_toy_generate(200, seed=5), path)
     return str(path)
 
 
@@ -256,24 +263,57 @@ def _rewrite_header(path, edit):
                            + raw[16 + head_len:])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: h.pop("positive_rate"),
-    lambda h: h["config"]["tree_params"].update(bogus=1),
-    lambda h: h["config"].update(T=h["config"]["T"] + 1),
-    lambda h: h["schedule"].update(beta_end=0.05),
-    lambda h: h.update(kind="nope"),
+@pytest.mark.parametrize("task,edit", [
+    pytest.param("regression", lambda h: h.pop("positive_rate"), id="missing_key"),
+    pytest.param("regression", lambda h: h["config"]["tree_params"].update(bogus=1),
+                 id="unknown_tree_param"),
+    pytest.param("regression", lambda h: h["config"].update(T=h["config"]["T"] + 1),
+                 id="tree_count_mismatch"),
+    pytest.param("regression", lambda h: h["schedule"].update(beta_end=0.05),
+                 id="schedule_mismatch"),
+    pytest.param("regression", lambda h: h.update(kind="nope"), id="unknown_kind"),
     # numpy parses a comma in a dtype string as a record format and raises SyntaxError
-    lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype=",f8"),
-    lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype="f8,,"),
-], ids=["missing_key", "unknown_tree_param", "tree_count_mismatch", "schedule_mismatch",
-        "unknown_kind", "comma_dtype", "trailing_comma_dtype"])
-def test_corrupt_model_header_is_a_data_error(toy_csv, tmp_path, capsys, edit):
+    pytest.param("regression",
+                 lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype=",f8"),
+                 id="comma_dtype"),
+    pytest.param("regression",
+                 lambda h: next(a for a in h["arrays"] if a["dtype"] == "<f8").update(dtype="f8,,"),
+                 id="trailing_comma_dtype"),
+    # header entries that repeat mean_config must agree with it
+    pytest.param("regression", lambda h: h["mean_config"].update(shrinkage=0.5),
+                 id="mean_shrinkage_mismatch"),
+    pytest.param("regression", lambda h: h["mean_config"].update(n_trees=3),
+                 id="mean_tree_count_mismatch"),
+    pytest.param("regression", lambda h: h["mean_config"].update(loss="logistic"),
+                 id="mean_loss_mismatch"),
+    # the task fixes which of standardization and positive_rate a model holds
+    pytest.param("regression", lambda h: h.update(standardization=None),
+                 id="regression_without_standardization"),
+    pytest.param("regression", lambda h: h.update(standardization=[0, -1]),
+                 id="negative_std"),
+    pytest.param("regression", lambda h: h.update(standardization=[float("nan"), 1]),
+                 id="nan_mean"),
+    pytest.param("regression", lambda h: h.update(positive_rate=0.5),
+                 id="regression_with_positive_rate"),
+    pytest.param("binary", lambda h: h.update(standardization=[0, 1]),
+                 id="binary_with_standardization"),
+    pytest.param("binary", lambda h: h.update(positive_rate=None),
+                 id="binary_without_positive_rate"),
+    pytest.param("binary", lambda h: h.update(positive_rate=1.0), id="positive_rate_one"),
+    pytest.param("binary", lambda h: h.update(positive_rate=0), id="positive_rate_zero"),
+    pytest.param("binary", lambda h: [h[k].update(loss="squared")
+                                      for k in ("mean_config", "mean_estimator")],
+                 id="binary_squared_mean_loss"),
+])
+def test_corrupt_model_header_is_a_data_error(toy_csv, clf_csv, tmp_path, capsys, task, edit):
     from diffboost.model_io import ModelFormatError, load_model
-    model_path = _train(toy_csv, tmp_path)
+    data = clf_csv if task == "binary" else toy_csv
+    model_path = _train(data, tmp_path, "--task", task)
+    load_model(model_path)                      # the file loads before the edit
     _rewrite_header(model_path, edit)
     with pytest.raises(ModelFormatError, match="corrupt model file"):
         load_model(model_path)
-    assert main(["sample", "--model", model_path, "--data", toy_csv]) == 2
+    assert main(["sample", "--model", model_path, "--data", data]) == 2
     assert "data error" in capsys.readouterr().err
 
 
@@ -653,20 +693,25 @@ def test_qice_bins_below_one_is_a_usage_error(toy_csv, tmp_path, capsys, monkeyp
     assert err.count("--qice-bins must be >= 1") == 2 and "internal error" not in err
 
 
-@pytest.mark.parametrize("samples,bins", [("1", "1"), ("1", "2"), ("5", "10"), ("0", "1"),
-                                          ("-1", "1")])
-def test_eval_checks_samples_before_training(toy_csv, tmp_path, capsys, monkeypatch,
-                                             samples, bins):
-    model_path = _train(toy_csv, tmp_path)
+@pytest.mark.parametrize("task,samples,bins", [
+    *[pytest.param("regression", samples, bins, id=f"{samples}-{bins}")
+      for samples, bins in [("1", "1"), ("1", "2"), ("5", "10"), ("0", "1"), ("-1", "1")]],
+    # a binary model's t-test needs two samples per row, whatever --qice-bins says
+    pytest.param("binary", "1", "1", id="binary-1-1"),
+])
+def test_eval_checks_samples_before_training(toy_csv, clf_csv, tmp_path, capsys, monkeypatch,
+                                             task, samples, bins):
+    data = clf_csv if task == "binary" else toy_csv
+    model_path = _train(data, tmp_path, "--task", task)
     monkeypatch.setattr(cli, "_train_one", _fail_if_called)
     monkeypatch.setattr(cli, "_sample_model", _fail_if_called)
     capsys.readouterr()
     flags = ["--samples", samples, "--qice-bins", bins]
-    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
-                 *_SMALL_FOLD_FLAGS, *flags]) == 1
-    assert main(["eval", "--model", model_path, "--data", toy_csv, *flags]) == 1
+    assert main(["eval", "--data", data, "--folds", "2", "--threads", "1",
+                 *_SMALL_FOLD_FLAGS, "--task", task, *flags]) == 1
+    assert main(["eval", "--model", model_path, "--data", data, *flags]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"--samples {samples}: regression metrics need") == 2
+    assert err.count(f"--samples {samples}: {task} metrics need") == 2
 
 
 # the address-space limit of the child process that runs one command

@@ -14,7 +14,7 @@ from diffboost.dbt import (
     sample_dbt,
     train_dbt,
 )
-from diffboost.schedule import build_linear_schedule, forward_sample, posterior_mean
+from diffboost.schedule import forward_sample, posterior_mean
 from diffboost.tree import NUMERIC, TreeParams, fit_tree, predict_tree
 
 PROTO = 4.59511985013459       # logit(0.99), computed independently
@@ -169,14 +169,6 @@ def test_schema_mismatch_rejected():
         sample_dbt(model, np.zeros((3, 9)), 1, streams.stream(0, 1))
 
 
-def test_schedule_T_mismatch_rejected():
-    # a model never carries a schedule that its config does not describe
-    model = train_dbt(toy_generate("a", 120, seed=8), tiny_config(T=8))
-    for other in (build_linear_schedule(9), build_linear_schedule(8, 1e-3, 0.05)):
-        with pytest.raises(ValueError, match="the schedule's"):
-            dataclasses.replace(model, schedule=other)
-
-
 def test_destandardization_equivariance_under_scaling():
     # scaling targets by a power of two keeps every standardization step exact,
     # so the two runs share one diffusion trajectory bit for bit
@@ -195,7 +187,7 @@ def test_sequential_dependency_between_adjacent_trees():
     ds = toy_generate("a", 250, seed=10)
     cfg = tiny_config(seed=13)
     model = train_dbt(ds, cfg)
-    sched = model.schedule
+    sched = model.config.schedule
     setup = _TrainingSetup(ds, cfg, None)
     t = 4
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diffboost import model_io, streams
+from diffboost import dbt, streams
 from diffboost.boosting import MeanEstimatorConfig
 from diffboost.card_t import sample_card_t, train_card_t
 from diffboost.cli import main
@@ -375,7 +375,7 @@ def test_tree_count_is_checked_before_the_schedule_is_built(tmp_path, monkeypatc
 
     def refuse(*args):
         raise AssertionError("the schedule was built before the tree count was checked")
-    monkeypatch.setattr(model_io, "build_linear_schedule", refuse)
+    monkeypatch.setattr(dbt, "build_linear_schedule", refuse)
     with pytest.raises(ModelFormatError, match="step trees stored"):
         load_model(path)
 
