@@ -16,7 +16,7 @@ import numpy as np
 
 from diffboost import streams
 from diffboost.data import clf_toy_generate
-from diffboost.dbt import BINARY, DbtConfig, classify, sample_dbt, train_dbt
+from diffboost.dbt import BINARY, DbtConfig, classify, sample, train_dbt
 from diffboost.metrics import deferral_report, paired_t_test, piw
 from diffboost.tree import TreeParams
 
@@ -37,7 +37,7 @@ def main():
           f"(clean region is x0 < 1; noisy region tops out at 75% accuracy)")
     model = train_dbt(train, cfg)
 
-    logits = sample_dbt(model, test, args.samples, streams.stream(8, 1))
+    logits = sample(model, test, args.samples, streams.stream(8, 1))
     labels, probs = classify(logits, threshold=model.train_positive_rate)
     ttests = {a: paired_t_test(probs, a).reject for a in (0.05, 0.005)}
     report = deferral_report(test.y.astype(int), labels, piw(logits), ttests)

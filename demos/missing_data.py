@@ -14,7 +14,7 @@ import numpy as np
 
 from diffboost import streams
 from diffboost.data import mcar_mask, toy_generate
-from diffboost.dbt import DbtConfig, sample_dbt, train_dbt
+from diffboost.dbt import DbtConfig, sample, train_dbt
 from diffboost.metrics import rmse
 from diffboost.tree import TreeParams
 
@@ -37,8 +37,8 @@ def main():
     print(f"training with {frac * 100:.1f}% of cells masked...")
     masked = train_dbt(masked_train, cfg)
 
-    s_c = sample_dbt(complete, held, 100, streams.stream(7, 4))
-    s_m = sample_dbt(masked, held, 100, streams.stream(7, 4))
+    s_c = sample(complete, held, 100, streams.stream(7, 4))
+    s_m = sample(masked, held, 100, streams.stream(7, 4))
     r_c, r_m = rmse(held.y, s_c), rmse(held.y, s_m)
     print(f"\nheld-out RMSE: complete {r_c:.3f}  masked {r_m:.3f}  "
           f"({(r_m / r_c - 1) * 100:+.1f}%)")

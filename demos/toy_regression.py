@@ -15,7 +15,7 @@ import numpy as np
 
 from diffboost import streams
 from diffboost.data import toy_a_segment_mean, toy_b_boxes, toy_generate
-from diffboost.dbt import DbtConfig, sample_dbt, train_dbt
+from diffboost.dbt import DbtConfig, sample, train_dbt
 from diffboost.tree import TreeParams
 
 
@@ -27,8 +27,7 @@ def run_task_a(T, n, seed=7):
                     seed=seed)
     model = train_dbt(train, cfg)
     probes = np.array([0.5, 0.95, 1.05, 1.5, 2.5])
-    s = sample_dbt(model, np.column_stack([probes] * 3), 800,
-                   streams.stream(seed, 1))
+    s = sample(model, np.column_stack([probes] * 3), 800, streams.stream(seed, 1))
     print("    x   true mean   sampled mean   [2.5%, 97.5%] of samples")
     for u, row in zip(probes, s):
         lo, hi = np.percentile(row, [2.5, 97.5])
@@ -46,7 +45,7 @@ def run_task_b(T, n, seed=7):
     model = train_dbt(train, cfg)
     for sub in range(3):
         probes = (sub + np.linspace(0.1, 0.9, 9))[:, None]
-        s = sample_dbt(model, probes, 400, streams.stream(seed, 2))
+        s = sample(model, probes, 400, streams.stream(seed, 2))
         lo_box, hi_box = toy_b_boxes(sub)
         mid = 0.5 * (lo_box[1] + hi_box[0])
         f_lo = (s < mid).mean()
@@ -64,7 +63,7 @@ def run_task_e(T, n, seed=7):
                     seed=seed)
     model = train_dbt(train, cfg)
     probes = np.array([0.1, 0.7, 1.3, 1.9])[:, None]
-    s = sample_dbt(model, probes, 800, streams.stream(seed, 3))
+    s = sample(model, probes, 800, streams.stream(seed, 3))
     print("    x   sampled std   generator std")
     for u, row in zip(probes[:, 0], s):
         print(f"  {u:4.2f}  {row.std():10.3f}   {0.1 + 0.5 * u:12.3f}")

@@ -32,7 +32,6 @@ from . import card_t  # noqa: F401  (keeps diffboost.card_t an attribute of the 
 from .metrics import (
     DeferralReport,
     TTestResult,
-    accuracy,
     deferral_report,
     format_mean_std,
     nll,

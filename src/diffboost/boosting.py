@@ -61,10 +61,6 @@ class MeanEstimator:
     trees: tuple                 # DecisionTree per boosting stage
     config: MeanEstimatorConfig  # the fit's settings; predictions read shrinkage and loss
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))

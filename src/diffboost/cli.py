@@ -250,10 +250,13 @@ def cmd_eval(args) -> int:
             raise _UsageError("--folds and --threads must be >= 1")
         s_count = 100 if args.samples is None else args.samples
         _check_samples(cfg["task"], s_count, args.qice_bins)
+        if cfg["task"] != REGRESSION:
+            raise _UsageError("--folds mode currently evaluates regression metrics")
         data = _training_data(args, cfg)
+        if args.folds > data.n_rows:
+            raise _UsageError(f"--folds {args.folds} is more than the {data.n_rows} rows "
+                              f"of {args.data}")
         dbt_cfg, mean_cfg = _build_configs(cfg)
-        if dbt_cfg.task != REGRESSION:
-            raise DataError("--folds mode currently evaluates regression metrics")
         seed = cfg["seed"]
         fraction = SplitSpec.train_fraction if args.train_fraction is None else args.train_fraction
         jobs = [(data, SplitSpec(train_fraction=fraction, fold_seed=seed,
@@ -278,7 +281,7 @@ def cmd_eval(args) -> int:
         return 0
 
     if not args.model:
-        raise DataError("eval needs --model (or --folds for the retraining mode)")
+        raise _UsageError("eval needs --model (or --folds for the retraining mode)")
     given = [k for k in ("config", *_SETTINGS)
              if k != "seed" and getattr(args, k.replace("-", "_")) is not None]
     if given:

@@ -102,15 +102,14 @@ def _parse_number(cell: str):
         return None
 
 
-def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str] = None,
-             name: Optional[str] = None) -> Dataset:
+def load_csv(path, *, response: Optional[str] = None) -> Dataset:
     """Read a CSV with a header row; the last column is the response unless
-    ``response`` names another one.
+    ``response`` names another one.  The dataset is named after the file stem.
 
     A column is numeric when every non-missing cell parses as a number, else
     categorical.  Empty cells and ``NA`` are missing.  A sidecar
     schema file (``<path>.schema``) written by :func:`save_csv` fixes kinds and
-    dictionary order; ``schema_hint`` ({column name: kind}) overrides inference.
+    dictionary order, overriding inference.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -136,11 +135,9 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
     r_idx = header.index(response_name)
     feat_names = [h for j, h in enumerate(header) if j != r_idx]
 
-    sidecar = _read_schema(Path(str(path) + ".schema")) if schema_hint is None else None
+    sidecar = _read_schema(Path(str(path) + ".schema"))
 
     def decide_kind(col_name, cells):
-        if schema_hint is not None and col_name in schema_hint:
-            return schema_hint[col_name], None
         if sidecar is not None and col_name in sidecar:
             return sidecar[col_name]
         numeric = all(_parse_number(c) is not None
@@ -196,11 +193,11 @@ def load_csv(path, schema_hint: Optional[dict] = None, *, response: Optional[str
         raise DataError(f"{path}: response {response_name!r} row {i + 2}: "
                         f"{raw_rows[i][r_idx]!r} is not a finite number")
 
-    return Dataset(name=name or path.stem, columns=tuple(columns), X=X, y=y,
+    return Dataset(name=path.stem, columns=tuple(columns), X=X, y=y,
                    response_name=response_name)
 
 
-def save_csv(ds: Dataset, path, *, write_schema: bool = True) -> None:
+def save_csv(ds: Dataset, path) -> None:
     """Write the dataset as CSV plus a ``<path>.schema`` sidecar fixing kinds
     and dictionary order, so a reload reproduces the dataset exactly."""
     path = Path(path)
@@ -219,11 +216,6 @@ def save_csv(ds: Dataset, path, *, write_schema: bool = True) -> None:
                     row.append(repr(float(v)))
             row.append(repr(float(ds.y[i])))
             writer.writerow(row)
-    if write_schema:
-        _write_schema(ds, Path(str(path) + ".schema"))
-
-
-def _write_schema(ds: Dataset, path: Path) -> None:
     lines = [f"response={ds.response_name}"]
     for j, col in enumerate(ds.columns):
         lines.append(f"column.{j}.name={col.name}")
@@ -231,7 +223,7 @@ def _write_schema(ds: Dataset, path: Path) -> None:
         if col.kind == CATEGORICAL:
             for k, cat in enumerate(col.categories):
                 lines.append(f"column.{j}.category.{k}={cat}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(str(path) + ".schema").write_text("\n".join(lines) + "\n")
 
 
 def _read_schema(path: Path):

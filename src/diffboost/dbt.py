@@ -185,8 +185,6 @@ class _TrainingSetup:
 
         X = train.X
         if config.task == BINARY:
-            if not np.isin(np.unique(train.y), (0.0, 1.0)).all():
-                raise ValueError("binary task requires 0/1 labels")
             if mean_config.loss != LOGISTIC:
                 raise ValueError("binary task requires a logistic mean estimator")
             y0 = encode_prototypes(train.y, config.prototype_epsilon)

@@ -14,7 +14,7 @@ from scipy import stats as _st
 
 __all__ = [
     "rmse", "nll", "qice", "piw", "paired_t_test", "TTestResult",
-    "accuracy", "deferral_report", "DeferralReport", "format_mean_std",
+    "deferral_report", "DeferralReport", "format_mean_std",
 ]
 
 _SIGMA_FLOOR = 1e-6
@@ -134,14 +134,6 @@ def paired_t_test(probs1, alpha: float = 0.05) -> TTestResult:
     t[degenerate & (m < 0.0)] = -np.inf
     p[degenerate & (m != 0.0)] = 0.0
     return TTestResult(reject=p < alpha, t_stat=t, p_value=p)
-
-
-def accuracy(labels_true, labels_pred) -> float:
-    lt = np.asarray(labels_true)
-    lp = np.asarray(labels_pred)
-    if lt.shape != lp.shape:
-        raise ValueError("label arrays must align")
-    return float((lt == lp).mean())
 
 
 def _acc(mask, correct):

@@ -31,17 +31,16 @@ __all__ = [
 class NoiseSchedule:
     """Per-timestep constants of a noising process with T steps.
 
-    ``beta`` is the stepwise noise variance, ``alpha = 1 - beta``,
-    ``alpha_bar`` the running product of alphas.  ``tilde_beta`` is the
-    posterior variance and ``gamma0/1/2`` the posterior-mean weights on the
-    clean response, the current noisy response, and the prior mean; they sum
-    to one at every t >= 2.  All arrays have length T+1 with slot 0 unused
-    (NaN) so that ``beta[t]`` means the t-th step.
+    ``beta`` is the stepwise noise variance, ``alpha_bar`` the running
+    product of ``1 - beta``.  ``tilde_beta`` is the posterior variance and
+    ``gamma0/1/2`` the posterior-mean weights on the clean response, the
+    current noisy response, and the prior mean; they sum to one at every
+    t >= 2.  All arrays have length T+1 with slot 0 unused (NaN) so that
+    ``beta[t]`` means the t-th step.
     """
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
     one_minus_alpha_bar: np.ndarray
     tilde_beta: np.ndarray
@@ -50,7 +49,7 @@ class NoiseSchedule:
     gamma2: np.ndarray
 
     def __post_init__(self):
-        for name in ("beta", "alpha", "alpha_bar", "one_minus_alpha_bar",
+        for name in ("beta", "alpha_bar", "one_minus_alpha_bar",
                      "tilde_beta", "gamma0", "gamma1", "gamma2"):
             arr = getattr(self, name)
             if arr.shape != (self.T + 1,):
@@ -112,7 +111,7 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.
                 f"{name} is not finite and positive")
 
     return NoiseSchedule(
-        T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
+        T=T, beta=beta, alpha_bar=alpha_bar,
         one_minus_alpha_bar=omab, tilde_beta=tilde_beta,
         gamma0=gamma0, gamma1=gamma1, gamma2=gamma2,
     )

@@ -315,8 +315,8 @@ BENCHMARK_CONFIG = DbtConfig(T=1000, n_noise=100,
 def _uci_fold(args):
     """One benchmark fold; module-level and argument-driven so process pools
     can run it."""
-    path, name, fold_index, config, s_count = args
-    data = load_csv(path, name=name)
+    path, fold_index, config, s_count = args
+    data = load_csv(path)
     train, test = make_split(data, SplitSpec(train_fraction=0.9,
                                              fold_seed=config.seed,
                                              fold_index=fold_index))
@@ -332,7 +332,7 @@ def _run_uci(name, csv_name, folds, config=BENCHMARK_CONFIG, s_count=100, data_d
         pytest.skip(f"{name} data not present at {path}; run demos/fetch_uci.py "
                     "(needs network access) and re-run")
     from concurrent.futures import ProcessPoolExecutor
-    jobs = [(str(path), name, i, config, s_count) for i in range(folds)]
+    jobs = [(str(path), i, config, s_count) for i in range(folds)]
     with ProcessPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(_uci_fold, jobs))
     return np.array([r[0] for r in results]), np.array([r[1] for r in results])

@@ -239,7 +239,7 @@ def test_exit_codes(tmp_path, toy_csv):
     assert main(["nope"]) == 1                                    # unknown command
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "m.dbtm")]) == 2         # data error
-    assert main(["eval", "--data", toy_csv]) == 2                 # needs model/folds
+    assert main(["eval", "--data", toy_csv]) == 1                 # needs model/folds
     junk = tmp_path / "junk.dbtm"
     junk.write_bytes(b"JUNKJUNKJUNKJUNK")
     assert main(["sample", "--model", str(junk), "--data", toy_csv]) == 2
@@ -714,6 +714,23 @@ def test_eval_checks_samples_before_training(toy_csv, clf_csv, tmp_path, capsys,
     assert err.count(f"--samples {samples}: {task} metrics need") == 2
 
 
+def test_eval_folds_binary_task_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    for name in ("load_csv", "_train_one"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    rc = main(["eval", "--data", str(tmp_path / "absent.csv"), "--folds", "2", "--threads", "1",
+               *_SMALL_FOLD_FLAGS, "--task", "binary"])
+    assert rc == 1
+    assert "error: --folds mode currently evaluates regression metrics" in \
+        capsys.readouterr().err
+
+
+def test_eval_without_model_or_folds_is_a_usage_error(toy_csv, capsys, monkeypatch):
+    for name in ("load_csv", "load_model"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    assert main(["eval", "--data", toy_csv]) == 1
+    assert "error: eval needs --model" in capsys.readouterr().err
+
+
 # the address-space limit of the child process that runs one command
 _CHILD_MEMORY = 2 * 1024 ** 3
 _LIMITED_MAIN = f"""
@@ -724,14 +741,23 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command,size", [("sample", 10**12), ("sample", 10**8),
-                                          ("train", 10**9), ("toy", 10**12),
-                                          ("eval", 10**12)])
-def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size):
+def _run_limited(argv):
+    """Run one command in a child process under the ``_CHILD_MEMORY`` limit."""
     import os
     import subprocess
     import sys
     import diffboost
+    root = str(Path(diffboost.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("command,size", [("sample", 10**12), ("sample", 10**8),
+                                          ("train", 10**9), ("toy", 10**12),
+                                          ("eval", 10**12)])
+def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size):
     n = str(size)
     if command == "sample":
         argv = ["sample", "--model", _train(toy_csv, tmp_path), "--data", toy_csv, "--samples", n]
@@ -743,11 +769,14 @@ def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size)
     else:                                 # one worker: no process pool starts
         argv = ["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
                 *_SMALL_FOLD_FLAGS, "--samples", n]
-    root = str(Path(diffboost.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+    done = _run_limited(argv)
     assert done.returncode == 1, done.stderr
     assert "not enough memory" in done.stderr
     assert "internal error" not in done.stderr
+
+
+def test_eval_folds_above_row_count_is_a_usage_error(toy_csv):
+    done = _run_limited(["eval", "--data", toy_csv, "--folds", "1000000000", "--threads", "1",
+                         *_SMALL_FOLD_FLAGS])
+    assert done.returncode == 1, done.stderr
+    assert "error: --folds 1000000000 is more than the 160 rows of" in done.stderr

@@ -70,12 +70,16 @@ def test_load_csv_rejects_infinite_cells(tmp_path):
         load_csv(p)
 
 
-def test_load_csv_schema_hint(tmp_path):
+def test_load_csv_sidecar_makes_numeric_looking_column_categorical(tmp_path):
     p = tmp_path / "h.csv"
-    p.write_text("a,y\n1,0\n2,1\n1,0\n")
-    ds = load_csv(p, schema_hint={"a": CATEGORICAL})
+    p.write_text("a,y\n1,0\n2,1\n1,0\n3,1\n")
+    (tmp_path / "h.csv.schema").write_text(
+        "response=y\ncolumn.0.name=a\ncolumn.0.kind=categorical\n"
+        "column.0.category.0=2\ncolumn.0.category.1=1\n")
+    ds = load_csv(p)
     assert ds.columns[0].kind == CATEGORICAL
-    assert ds.columns[0].categories == ("1", "2")
+    assert ds.columns[0].categories == ("2", "1")
+    assert np.array_equal(ds.X[:, 0], [1.0, 0.0, 1.0, -1.0])    # "3" is not in the sidecar
 
 
 def test_duplicate_header_rejected(tmp_path):
@@ -94,7 +98,7 @@ def test_csv_round_trip(tmp_path):
     ds = Dataset("round", cols, X, rng.normal(size=20))
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
-    back = load_csv(path, name="round")
+    back = load_csv(path)
     assert back.columns == ds.columns
     assert np.array_equal(back.X, ds.X, equal_nan=True)
     assert np.array_equal(back.y, ds.y)
@@ -202,7 +206,7 @@ def test_csv_round_trip_property(tmp_path_factory, seed):
     ds = Dataset("prop", tuple(cols), X, rng.normal(size=n))
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     save_csv(ds, path)
-    back = load_csv(path, name="prop")
+    back = load_csv(path)
     assert np.array_equal(back.X, ds.X, equal_nan=True)
     assert np.array_equal(back.y, ds.y)
     assert [c.kind for c in back.columns] == [c.kind for c in ds.columns]

@@ -237,8 +237,10 @@ def test_binary_task_end_to_end():
 
 def test_binary_rejects_non_binary_labels():
     rng = np.random.default_rng(14)
-    ds = numeric_dataset(rng.uniform(size=(100, 1)), rng.uniform(size=100))
-    with pytest.raises(ValueError):
+    y = (rng.uniform(size=100) < 0.5).astype(float)
+    y[37] = 0.5                                    # one label that is neither 0 nor 1
+    ds = numeric_dataset(rng.uniform(size=(100, 1)), y)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
         train_dbt(ds, tiny_config(task=BINARY))
 
 

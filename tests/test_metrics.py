@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffboost.metrics import (
-    accuracy,
     deferral_report,
     format_mean_std,
     nll,
@@ -227,10 +226,6 @@ def test_permutation_equivariance_over_rows():
 def test_format_mean_std():
     assert format_mean_std([2.731, 2.629, 2.842]) == "2.73 ± 0.11"
     assert format_mean_std([8.81]) == "8.81 ± NA"
-
-
-def test_accuracy():
-    assert accuracy([1, 0, 1, 1], [1, 0, 0, 1]) == 0.75
 
 
 @pytest.mark.parametrize("metric", [rmse, nll, qice], ids=["rmse", "nll", "qice"])

@@ -16,7 +16,8 @@ def test_fold_runner_on_synthetic_table(tmp_path):
     X = rng.normal(size=(120, 3))
     y = 2.0 * X[:, 0] - X[:, 1] + rng.normal(scale=0.5, size=120)
     ds = Dataset("fake", tuple(Column(f"x{j}", NUMERIC) for j in range(3)), X, y)
-    save_csv(ds, tmp_path / "boston.csv", write_schema=False)
+    save_csv(ds, tmp_path / "boston.csv")
+    (tmp_path / "boston.csv.schema").unlink()      # a downloaded table has no sidecar
 
     tiny = DbtConfig(T=6, n_noise=4,
                      tree_params=TreeParams(num_leaves=7, min_samples_leaf=4), seed=0)
