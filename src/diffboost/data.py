@@ -109,7 +109,9 @@ def load_csv(path, *, response: Optional[str] = None) -> Dataset:
     A column is numeric when every non-missing cell parses as a number, else
     categorical.  Empty cells and ``NA`` are missing.  A sidecar
     schema file (``<path>.schema``) written by :func:`save_csv` fixes kinds and
-    dictionary order, overriding inference.
+    dictionary order, overriding inference.  A sidecar whose response or
+    columns are not all in the header belongs to another table: a
+    ``DataError``.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -135,7 +137,7 @@ def load_csv(path, *, response: Optional[str] = None) -> Dataset:
     r_idx = header.index(response_name)
     feat_names = [h for j, h in enumerate(header) if j != r_idx]
 
-    sidecar = _read_schema(Path(str(path) + ".schema"))
+    sidecar = _read_schema(Path(str(path) + ".schema"), header)
 
     def decide_kind(col_name, cells):
         if sidecar is not None and col_name in sidecar:
@@ -226,14 +228,23 @@ def save_csv(ds: Dataset, path) -> None:
     Path(str(path) + ".schema").write_text("\n".join(lines) + "\n")
 
 
-def _read_schema(path: Path):
-    """{column name: (kind, categories or None)} from a sidecar, or None."""
+def _read_schema(path: Path, header):
+    """{column name: (kind, categories or None)} from a sidecar, or None.
+    Every column it names, the response included, must be in ``header``."""
     if not path.exists():
         return None
     fields = dict(line.partition("=")[::2] for line in path.read_text().splitlines()
                   if line.strip())
+    response = fields.get("response")
+    if response is not None and response not in header:
+        raise DataError(f"{path}: response {response!r} is not in the CSV header "
+                        "(a schema of another table?)")
     out, j = {}, 0
     while f"column.{j}.name" in fields:
+        name = fields[f"column.{j}.name"]
+        if name not in header:
+            raise DataError(f"{path}: column.{j}.name {name!r} is not in the CSV header "
+                            "(a schema of another table?)")
         kind, cats = fields.get(f"column.{j}.kind"), None
         if kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"{path}: column.{j}.kind is {kind!r}, "
@@ -243,7 +254,7 @@ def _read_schema(path: Path):
             while f"column.{j}.category.{len(cats)}" in fields:
                 cats.append(fields[f"column.{j}.category.{len(cats)}"])
             cats = tuple(cats)
-        out[fields[f"column.{j}.name"]] = (kind, cats)
+        out[name] = (kind, cats)
         j += 1
     return out
 

@@ -10,7 +10,13 @@ mean-target order.
 Two batched scans search each leaf: the block search over numeric columns
 without missing cells, and ``_best_cut``, which owns the missing-value policy,
 over numeric columns with missing cells and categorical columns.  Both numeric
-searches read one presorted leaf layout, sorted once at the root.
+searches read one presorted leaf layout, sorted once at the root.  Each leaf
+also carries its targets and its category bins in row order, and a split
+leaves its two children's back to back, so the categorical search takes both
+children as one batch of numpy calls; each child's sums are still added in
+its own row order, so the tree is the same bit for bit as with one search per
+child.  The children of the split that fills the leaf budget are not
+searched at all.
 
 Missing markers: NaN in any column; additionally any negative code in a
 categorical column (the reserved "unseen category" encoding) routes like a
@@ -104,6 +110,17 @@ def _presort(X, columns):
 class _OpenLeaf:
     """Working state for a not-yet-finalized leaf during growth.
 
+    A leaf carries its rows' targets ``y`` and, with categorical columns, its
+    rows' category bins ``codes`` (see ``_Fit._encode_categorical``), both in
+    ``rows`` order.  ``rows``, ``y`` and ``codes`` are one range of the fit's
+    buffers of each, and a split partitions its leaf's range in place, the
+    left child's rows first; after a cut on a complete numeric column, whose
+    children come out in that column's order, the bins are gathered again.
+    So siblings lie back to back, and ``_Fit.evaluate`` searches both at
+    once.  A leaf's bins are shifted by ``slot`` times the bins of one leaf,
+    0 for a left child and 1 for a right one, so that one ``bincount`` over
+    both siblings counts them apart.
+
     Every numeric column is one row of three (q, n) matrices aligned
     position-by-position: row ids, feature values, and targets, each in that
     column's ascending value order with missing cells last.  Columns without
@@ -113,11 +130,15 @@ class _OpenLeaf:
     are order-preserving boolean compresses.
     """
 
-    __slots__ = ("node_id", "rows", "idx", "xv", "yv", "n_present", "best")
+    __slots__ = ("node_id", "rows", "y", "codes", "slot", "idx", "xv", "yv", "n_present",
+                 "best")
 
-    def __init__(self, node_id, rows, idx, xv, yv, n_present):
+    def __init__(self, node_id, rows, y, codes, slot, idx, xv, yv, n_present):
         self.node_id = node_id
         self.rows = rows
+        self.y = y                              # (n,) float64 targets in ``rows`` order
+        self.codes = codes                      # (n, c) intp category bins, or None
+        self.slot = slot                        # 0 or 1: the bins' shift, in leaves
         self.idx = idx                          # (q, n) int64 row ids
         self.xv = xv                            # (q, n) float64 sorted values
         self.yv = yv                            # (q, n) float64 targets in that order
@@ -126,8 +147,9 @@ class _OpenLeaf:
 
 
 def _goes_left(col, thr, default_left, lut=None, row=0):
-    """Which values of ``col`` their nodes send left; fitting, ``apply_tree``
-    and the forest walk all route with it.
+    """Which values of ``col`` their nodes send left; ``apply_tree``, the
+    forest walk and fitting's cuts on numeric columns with missing cells all
+    route with it.
 
     ``thr``, ``default_left`` and ``row`` give each value's node: one node's
     scalars, or one entry per value.  Numeric nodes (no ``lut``) send
@@ -168,50 +190,59 @@ def _midpoint(a, b):
     return a if thr >= b else thr
 
 
-def _best_cut(n, msl, min_gain, n_l, s_l, dead, ix, n_miss, sum_miss, alone_ok):
-    """Best cut of a leaf's ``n`` rows over a batch of columns whose present
-    rows stand in ordered positions.  Cut ``i`` of column ``j`` leaves
-    ``i + 1`` positions left, holding ``n_l[j, i]`` present rows whose centred
-    targets sum to ``s_l[j, i]``, unless ``dead[j, i]``.  The column's
-    ``n_miss[j]`` missing rows (summing to ``sum_miss[j]``; None: no missing
-    row in the leaf) go left or right of each cut, or, where ``alone_ok``,
-    alone on the left (0 positions; alone on the right is the same partition
-    and loses the tie).  Each side needs ``msl`` rows; the gain is
-    ``s*s/n_l + s*s/n_r``.
+def _best_cut(n, msl, min_gain, n_l, s_l, dead, n_miss, sum_miss, alone_ok):
+    """Best cut of each leaf of a batch over a batch of columns whose present
+    rows stand in ordered positions.  A row of the (r, cuts) arrays is one
+    (leaf, column) pair, leaf by leaf, with the same columns for every leaf;
+    the pair's leaf holds ``n[r, 0]`` rows (one number for a batch of one)
+    and its cut needs a gain above ``min_gain[leaf]``.  Cut ``i`` of row ``r``
+    leaves ``i + 1`` positions left, holding ``n_l[r, i]`` present rows whose
+    centred targets sum to ``s_l[r, i]``, unless ``dead[r, i]`` (None: no
+    dead cut).  The row's ``n_miss[r]`` missing rows (summing to
+    ``sum_miss[r]``; None: no missing row in the batch) go left or right of
+    each cut, or, where ``alone_ok``, alone on the left (0 positions; alone on
+    the right is the same partition and loses the tie).  Each side needs
+    ``msl`` rows; the gain is ``s*s/n_l + s*s/n_r``.
 
-    Returns (column, gain, positions left, missing left) of the best cut if
-    its gain beats ``min_gain``, else None.  Tie order: gain, then lower
-    column, then fewer positions left, then missing-left.
+    Returns, per leaf, (column, gain, positions left, missing left) of its
+    best cut if that beats its ``min_gain``, else None.  Tie order: gain,
+    then lower column, then fewer positions left, then missing-left.
     """
+    n_leaves = len(min_gain)
+    cuts = s_l.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        def scan(n_l, s_l):
-            # each column's best cut: (gain, positions left); argmax keeps the first
+        def scan(n_l, s_l, miss_left):
+            # each leaf's best as [gain, column, positions left, missing left];
+            # argmax over the flattened (column, cut) array keeps the lower
+            # column, then fewer positions
             n_r = n - n_l
             sq = s_l * s_l
-            gain = sq / n_l + sq / n_r
-            gain[dead | (n_l < msl) | (n_r < msl)] = -np.inf
-            i = gain.argmax(axis=1)
-            return gain[ix, i], i + 1
+            gain = sq / n_l
+            gain += sq / n_r
+            bad = (n_l < msl) | (n_r < msl)
+            if dead is not None:
+                bad = bad | dead
+            gain[bad] = -np.inf
+            gain = gain.reshape(n_leaves, -1)
+            return [[float(gain[b, i]), i // cuts, i % cuts + 1, miss_left]
+                    for b, i in enumerate(gain.argmax(axis=1).tolist())]
 
         if sum_miss is None:                         # missing-left and -right coincide
-            g_left, p_left = scan(n_l, s_l)
-            g_col = g_left
+            best = scan(n_l, s_l, True)
         else:
-            g_left, p_left = scan(n_l + n_miss[:, None], s_l + sum_miss[:, None])
-            g_right, p_right = scan(n_l, s_l)
+            n_miss, sum_miss = n_miss[:, None], sum_miss[:, None]
             n_rest = n - n_miss
             g_alone = np.where(alone_ok & (n_miss >= msl) & (n_rest >= msl),
                                sum_miss * sum_miss / n_miss + sum_miss * sum_miss / n_rest,
-                               -np.inf)
-            g_col = np.maximum(np.maximum(g_left, g_right), g_alone)
-    j = int(np.argmax(g_col))
-    if not g_col[j] > min_gain:
-        return None
-    cands = [(g_left[j], p_left[j], True)]
-    if sum_miss is not None:
-        cands += [(g_right[j], p_right[j], False), (g_alone[j], 0, True)]
-    g, pos, miss_left = max(cands, key=lambda c: (c[0], -c[1], c[2]))
-    return j, float(g), int(pos), miss_left
+                               -np.inf).reshape(n_leaves, -1)
+            best = scan(n_l + n_miss, s_l + sum_miss, True)
+            for b, right, g, j in zip(best, scan(n_l, s_l, False), g_alone.max(axis=1).tolist(),
+                                      g_alone.argmax(axis=1).tolist()):
+                for cand in (right, [g, j, 0, True]):
+                    if (cand[0], -cand[1], -cand[2]) > (b[0], -b[1], -b[2]):
+                        b[:] = cand
+    return [(j, g, pos, miss_left) if g > floor else None
+            for (g, j, pos, miss_left), floor in zip(best, min_gain)]
 
 
 class _Fit:
@@ -222,12 +253,12 @@ class _Fit:
     table of reciprocals.  Numeric columns containing missing cells (centred
     prefix sums) and categorical columns (one offset ``bincount``) feed
     ``_best_cut``.  Both numeric searches read one leaf layout (see
-    ``_OpenLeaf``).
+    ``_OpenLeaf``), one leaf at a time; the categorical search takes both
+    children of a split as one batch.
     """
 
-    def __init__(self, X, y, kinds, params):
+    def __init__(self, X, kinds, params):
         self.X = X
-        self.y = y
         self.is_cat = np.asarray([k == CATEGORICAL for k in kinds])
         self.params = params
         self.n, self.p = X.shape
@@ -247,16 +278,20 @@ class _Fit:
         self.gain_scratch = np.empty((q, self.n))
         self.valid_scratch = np.empty((q, self.n), dtype=bool)
         self.sparse_ix = np.arange(len(self.sparse_features))
+        # a complete column's row in the leaf layout, a categorical column's in the bins
+        self.layout_row = np.cumsum(self.complete) - 1
+        self.cat_col = np.cumsum(self.is_cat) - 1
+        self.cat_bins = None
         if len(self.cat_features):
             self._encode_categorical()
 
-    def open_leaf(self, node_id, rows, idx, xv, yv):
-        """Wrap a leaf's layout, counting the present cells of each column
+    def open_leaf(self, node_id, rows, y, codes, slot, idx, xv, yv):
+        """Wrap a leaf's data, counting the present cells of each column
         with missing cells (its NaNs sit at the end of its row)."""
         n_present = None
         if len(self.sparse_features):
             n_present = rows.shape[0] - np.isnan(xv[len(self.block_features):]).sum(axis=1)
-        return _OpenLeaf(node_id, rows, idx, xv, yv, n_present)
+        return _OpenLeaf(node_id, rows, y, codes, slot, idx, xv, yv, n_present)
 
     def _encode_categorical(self):
         """Code every categorical cell once, offset so that column j owns bins
@@ -265,7 +300,8 @@ class _Fit:
         A column's ``w`` bins are ``k`` code bins, then one for missing cells
         (NaN or a negative code), then one for codes at or above
         ``max_categorical_cardinality``; a node holding such a code does not
-        split on that column.
+        split on that column.  A leaf in slot 1 (see ``_OpenLeaf``) holds its
+        rows' bins shifted by the ``c*w`` bins of one leaf.
         """
         c = len(self.cat_features)
         raw = self.X.take(self.cat_features, axis=1)   # C order: a leaf gathers whole rows
@@ -276,10 +312,11 @@ class _Fit:
         raw[over] = k + 1
         offsets = (k + 2) * np.arange(c)
         raw += offsets
-        self.cat_codes = raw.astype(np.intp)
+        self.cat_bins = raw.astype(np.intp)
         self.cat_k = k
+        self.cat_width = c * (k + 2)
         self.cat_miss_bins = offsets + k
-        self.cat_ix = np.arange(c)
+        self.cat_rows = np.arange(2 * c)[:, None]
         self.cat_cuts = np.arange(k - 1)
 
     def _best_in_block(self, leaf, n, mean, msl, min_gain):
@@ -319,109 +356,169 @@ class _Fit:
         # cells in the leaf has no candidate, whatever its sum reads
         sum_miss = np.where(n_miss > 0, -cs[self.sparse_ix, n_present - 1], 0.0)
         dead = ~(xv[:, 1:] > xv[:, :-1])             # also past the present values (NaN)
-        best = _best_cut(n, msl, min_gain, self.k1[:n - 1], cs[:, :-1], dead, self.sparse_ix,
-                         n_miss, sum_miss, True)
+        best, = _best_cut(n, msl, [min_gain], self.k1[:n - 1], cs[:, :-1], dead,
+                          n_miss, sum_miss, True)
         if best is None:
             return None
         j, g, pos, miss_left = best
         thr = _midpoint(xv[j, pos - 1], xv[j, pos]) if pos else -np.inf
         return (g, int(self.sparse_features[j]), float(thr), None, miss_left)
 
-    def _best_categorical(self, leaf, n, mean, msl, min_gain):
-        """``_best_cut`` over the categorical columns: positions are present
-        categories by mean target (ties by code), a left set is a prefix, and
-        a column holding a code at or above the cardinality cap has no cut."""
+    def _best_categorical(self, batch, y, codes, msl):
+        """``_best_cut`` over the categorical columns of a batch of leaves,
+        ``(leaf, mean, min_gain)`` triples whose rows lie back to back in
+        ``y`` and ``codes``, in slot order: positions are present categories
+        by mean target (ties by code), a left set is a prefix, and a column
+        holding a code at or above the cardinality cap has no cut.  One best
+        split (or None) per leaf.
+
+        Each statistic is one ``bincount`` over the whole batch, which adds
+        each bin's weights in input order, so every leaf's sums are those of
+        a batch of one, bit for bit."""
         c, k = len(self.cat_features), self.cat_k
-        yc = self.y[leaf.rows] - mean
-        # only the root holds every row, in order
-        leaf_codes = self.cat_codes if n == self.n else self.cat_codes.take(leaf.rows, axis=0)
-        flat = leaf_codes.ravel()
-        cnt = np.bincount(flat, minlength=c * (k + 2)).reshape(c, k + 2)
-        ysum = np.bincount(flat, weights=np.repeat(yc, c),
-                           minlength=c * (k + 2)).reshape(c, k + 2)
+        ns = np.array([leaf.rows.shape[0] for leaf, _, _ in batch])
+        yc = y - np.array([mean for _, mean, _ in batch]).repeat(ns)
+        flat = codes.ravel()
+        # the batch's bins: its first slot's, and the next slot's for a pair
+        first = batch[0][0].slot * self.cat_width
+        bins = slice(first, first + len(batch) * self.cat_width)
+        cnt = np.bincount(flat, minlength=2 * self.cat_width)[bins].reshape(-1, k + 2)
+        ysum = np.bincount(flat, weights=yc.repeat(c),
+                           minlength=2 * self.cat_width)[bins].reshape(-1, k + 2)
         n_miss = cnt[:, k]
         usable = cnt[:, k + 1] == 0
         cnt, ysum = cnt[:, :k], ysum[:, :k]
 
         # absent categories sort last; the stable sort breaks mean ties by code
         present = cnt > 0
-        means = np.full((c, k), np.inf)
+        means = np.full(cnt.shape, np.inf)
         np.divide(ysum, cnt, out=means, where=present)
-        order = np.argsort(means, axis=1, kind="stable")
-        cum_n = np.cumsum(cnt[self.cat_ix[:, None], order], axis=1)[:, :-1]
-        cum_s = np.cumsum(ysum[self.cat_ix[:, None], order], axis=1)[:, :-1]
-        g_count = present.sum(axis=1)
-        dead = (self.cat_cuts >= (g_count - 1)[:, None]) | ~usable[:, None]
-        sum_miss = None
+        order = means.argsort(axis=1, kind="stable")
+        rix = self.cat_rows[:cnt.shape[0]]
+        cum_n = cnt[rix, order].cumsum(axis=1)[:, :-1]
+        cum_s = ysum[rix, order].cumsum(axis=1)[:, :-1]
+        # a cut past the present categories leaves only missing rows right
+        # (alone's mirror image), or no row at all
+        dead = sum_miss = None
         if n_miss.any():
-            sum_miss = np.zeros(c)
-            for j in np.flatnonzero(n_miss):
+            dead = self.cat_cuts >= (present.sum(axis=1) - 1)[:, None]
+            sum_miss = np.zeros(cnt.shape[0])
+            starts = np.cumsum(ns) - ns
+            for i in np.flatnonzero(n_miss).tolist():
+                b, j = divmod(i, c)
+                part = slice(starts[b], starts[b] + ns[b])
+                miss_bin = self.cat_miss_bins[j] + first + b * self.cat_width
                 # np.sum rounds pairwise, unlike the missing bin's running sum
-                sum_miss[j] = yc[leaf_codes[:, j] == self.cat_miss_bins[j]].sum()
-        best = _best_cut(n, msl, min_gain, cum_n, cum_s, dead, self.cat_ix,
-                         n_miss, sum_miss, usable)
-        if best is None:
-            return None
-        j, g, pos, miss_left = best
-        cats = np.sort(order[j, :pos]).astype(np.int64)
-        return (g, int(self.cat_features[j]), np.nan, cats, miss_left)
+                sum_miss[i] = yc[part][codes[part, j] == miss_bin].sum()
+        if not usable.all():
+            dead = ~usable[:, None] if dead is None else dead | ~usable[:, None]
+        found = _best_cut(ns.repeat(c)[:, None], msl, [floor for _, _, floor in batch],
+                          cum_n, cum_s, dead, n_miss, sum_miss, usable[:, None])
+        out = []
+        for b, best in enumerate(found):
+            if best is not None:
+                j, g, pos, miss_left = best
+                best = (g, int(self.cat_features[j]), np.nan,
+                        np.sort(order[b * c + j, :pos]).astype(np.int64), miss_left)
+            out.append(best)
+        return out
 
-    def evaluate(self, leaf: _OpenLeaf):
-        """Find the best split of ``leaf`` and cache it on the leaf."""
-        n = leaf.rows.shape[0]
+    def evaluate(self, leaves, y, codes):
+        """Find the best split of each leaf in ``leaves`` and cache it on the
+        leaf.  ``leaves`` is the root, or the two children of a split, whose
+        targets and category bins lie back to back in ``y`` and ``codes``."""
         msl = self.params.min_samples_leaf
-        # summed in the first complete column's order, else in row order
-        y_leaf = leaf.yv[0] if len(self.block_features) else self.y[leaf.rows]
-        if n < 2 * msl or y_leaf.min() == y_leaf.max():
+        batch, cands = [], []
+        for leaf in leaves:
             leaf.best = None
-            return
-        mean = float(y_leaf.sum() / n)          # y_leaf.mean() bit for bit, with less overhead
-        sse = float(np.einsum("i,i->", y_leaf, y_leaf)) - n * mean * mean   # no BLAS threads
-        min_gain = _MIN_GAIN_REL * max(sse, 0.0)
-
-        cands = []
-        if len(self.block_features):
-            cands.append(self._best_in_block(leaf, n, mean, msl, min_gain))
-        if len(self.sparse_features):
-            cands.append(self._best_with_missing(leaf, n, mean, msl, min_gain))
-        if len(self.cat_features):
-            cands.append(self._best_categorical(leaf, n, mean, msl, min_gain))
-        # across features: higher gain, then the lower feature
-        leaf.best = max((c for c in cands if c is not None),
-                        key=lambda c: (c[0], -c[1]), default=None)
+            n = leaf.rows.shape[0]
+            # summed in the first complete column's order, else in row order
+            y_leaf = leaf.yv[0] if len(self.block_features) else leaf.y
+            if n < 2 * msl or y_leaf.min() == y_leaf.max():
+                continue
+            mean = float(y_leaf.sum() / n)          # y_leaf.mean() bit for bit, with less overhead
+            sse = float(np.einsum("i,i->", y_leaf, y_leaf)) - n * mean * mean   # no BLAS threads
+            min_gain = _MIN_GAIN_REL * max(sse, 0.0)
+            found = []
+            if len(self.block_features):
+                found.append(self._best_in_block(leaf, n, mean, msl, min_gain))
+            if len(self.sparse_features):
+                found.append(self._best_with_missing(leaf, n, mean, msl, min_gain))
+            batch.append((leaf, mean, min_gain))
+            cands.append(found)
+        if len(self.cat_features) and batch:
+            if len(batch) < len(leaves):            # one sibling is not searched
+                y, codes = batch[0][0].y, batch[0][0].codes
+            for found, best in zip(cands, self._best_categorical(batch, y, codes, msl)):
+                found.append(best)
+        for (leaf, _, _), found in zip(batch, cands):
+            # across features: higher gain, then the lower feature
+            leaf.best = max((c for c in found if c is not None),
+                            key=lambda c: (c[0], -c[1]), default=None)
 
     def split(self, leaf: _OpenLeaf, node_left: int, node_right: int):
-        """Partition ``leaf`` by its cached best split into two open leaves."""
-        gain, f, thr, cats, default_left = leaf.best
+        """Partition ``leaf`` by its cached best split into two open leaves.
 
+        The children's rows, targets and category bins take the leaf's place
+        in the fit's buffers, the left child's first.  Returns the children,
+        then the leaf's targets and bins, which now hold theirs back to back,
+        as ``evaluate`` takes them."""
+        gain, f, thr, cats, default_left = leaf.best
+        n = leaf.rows.shape[0]
+        rows, y, codes = leaf.rows, leaf.y, leaf.codes
         if cats is None and self.complete[f]:
-            # a cut on a complete column is a prefix of that column's order,
-            # whose layout row is its rank among the complete columns
-            j = int(self.complete[:f].sum())
-            k = int(np.searchsorted(leaf.xv[j], thr, side="right"))
-            rows_left = leaf.idx[j, :k].copy()
-            rows_right = leaf.idx[j, k:].copy()
-            self.mask[rows_left] = True
-            self.mask[rows_right] = False
+            # a cut on a complete column is a prefix of that column's order;
+            # the children come out in that order, so their bins are gathered again
+            j = self.layout_row[f]
+            m = int(np.searchsorted(leaf.xv[j], thr, side="right"))
+            rows[:] = leaf.idx[j]
+            y[:] = leaf.yv[j]
+            self.mask[rows[:m]] = True
+            self.mask[rows[m:]] = False
+            if codes is not None:
+                # every row id is in range: "clip" only spares take's buffered copy
+                self.cat_bins.take(rows, axis=0, out=codes, mode="clip")
+                codes[m:] += self.cat_width
         else:
-            lut = None if cats is None else _category_table([cats.size], cats)
-            go_left = _goes_left(self.X[leaf.rows, f], thr, default_left, lut)
-            self.mask[leaf.rows] = go_left
-            rows_left = leaf.rows[go_left]
-            rows_right = leaf.rows[~go_left]
+            if cats is None:
+                go_left = _goes_left(self.X[rows, f], thr, default_left)
+            else:
+                # one lookup over the leaf's bins of the column: its set, and
+                # its missing bin if missing goes left (no over-cap bin occurs)
+                col = self.cat_col[f]
+                lut = np.zeros(2 * self.cat_width, dtype=bool)
+                first = leaf.slot * self.cat_width + col * (self.cat_k + 2)
+                lut[first + cats] = True
+                lut[first + self.cat_k] = default_left
+                go_left = lut.take(codes[:, col])
+            self.mask[rows] = go_left
+            m = int(np.count_nonzero(go_left))
+            # the rows that go left, then those that go right, each in their order
+            perm = (~go_left).argsort(kind="stable")
+            rows[:] = rows.take(perm)
+            y[:] = y.take(perm)
+            if codes is not None:
+                codes[:] = codes.take(perm, axis=0)
+                if leaf.slot:
+                    codes[:m] -= self.cat_width
+                else:
+                    codes[m:] += self.cat_width
 
         q = leaf.idx.shape[0]
-        if not q:                               # no numeric column: the empty layout is never read
-            return [_OpenLeaf(node_left, rows_left, leaf.idx, leaf.xv, leaf.yv, None),
-                    _OpenLeaf(node_right, rows_right, leaf.idx, leaf.xv, leaf.yv, None)]
-        keep = self.mask[leaf.idx]
+        keep = self.mask[leaf.idx] if q else None
         children = []
-        for node_id, rows, sel in ((node_left, rows_left, keep), (node_right, rows_right, ~keep)):
-            m = rows.shape[0]
-            children.append(self.open_leaf(node_id, rows, leaf.idx[sel].reshape(q, m),
-                                           leaf.xv[sel].reshape(q, m),
-                                           leaf.yv[sel].reshape(q, m)))
-        return children
+        # the left child takes slot 0 and the right child slot 1
+        for slot, node_id, part in ((0, node_left, slice(0, m)), (1, node_right, slice(m, n))):
+            layout = (leaf.idx, leaf.xv, leaf.yv)          # no numeric column: never read
+            if q:
+                sel = keep if slot == 0 else ~keep
+                size = part.stop - part.start
+                layout = (leaf.idx[sel].reshape(q, size), leaf.xv[sel].reshape(q, size),
+                          leaf.yv[sel].reshape(q, size))
+            children.append(self.open_leaf(node_id, rows[part], y[part],
+                                           None if codes is None else codes[part], slot,
+                                           *layout))
+        return children, y, codes
 
 
 def fit_tree(
@@ -466,11 +563,13 @@ def fit_tree(
     if leaf_out is not None and leaf_out.shape != (n,):
         raise ValueError(f"leaf_out shape {leaf_out.shape} does not match {n} rows")
 
-    ctx = _Fit(X, y, feature_kinds, params)
+    ctx = _Fit(X, feature_kinds, params)
     orders = dict(presorted or {})
     orders.update(_presort(X, [f for f in ctx.num_features if f not in orders]))
     root_idx = np.array([orders[f] for f in ctx.num_features], dtype=np.int64).reshape(-1, n)
-    root = ctx.open_leaf(0, np.arange(n, dtype=np.int64), root_idx,
+    # the fit's buffers of rows, targets and bins, which every split permutes in place
+    codes = None if ctx.cat_bins is None else ctx.cat_bins.copy()
+    root = ctx.open_leaf(0, np.arange(n, dtype=np.int64), y.copy(), codes, 0, root_idx,
                          X[root_idx, ctx.num_features[:, None]], y[root_idx])
 
     # node table, sized for the most nodes the tree can have: every leaf holds a row
@@ -485,7 +584,7 @@ def fit_tree(
     split_gain = np.zeros(size)
     n_nodes = 1
 
-    ctx.evaluate(root)
+    ctx.evaluate([root], root.y, codes)
     open_leaves = [root]
     while len(open_leaves) < params.num_leaves:
         pick, pick_gain = None, 0.0
@@ -499,14 +598,16 @@ def fit_tree(
         (split_gain[node], feature[node], threshold[node], cat_sets[node],
          default_left[node]) = leaf.best
         children_left[node], children_right[node] = n_nodes, n_nodes + 1
-        for child in ctx.split(leaf, n_nodes, n_nodes + 1):
-            ctx.evaluate(child)
-            open_leaves.append(child)
+        children, y_pair, codes_pair = ctx.split(leaf, n_nodes, n_nodes + 1)
+        open_leaves += children
         n_nodes += 2
+        # the split that fills the leaf budget ends growth: no pick reads its children
+        if len(open_leaves) < params.num_leaves:
+            ctx.evaluate(children, y_pair, codes_pair)
 
     lr = params.learning_rate
     for leaf in open_leaves:
-        value[leaf.node_id] = float(y[leaf.rows].mean()) * lr
+        value[leaf.node_id] = float(leaf.y.mean()) * lr
         if leaf_out is not None:
             leaf_out[leaf.rows] = leaf.node_id
     if np.isinf(value).any():                  # internal nodes hold NaN

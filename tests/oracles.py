@@ -6,6 +6,11 @@ exhaustive enumeration, sharing no code with the library's split search.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
 import numpy as np
 
 from diffboost.tree import CATEGORICAL
@@ -105,3 +110,154 @@ def random_small_dataset(rng):
     else:
         y = rng.normal(size=n)
     return X, y, kinds, msl
+
+
+# ---------------------------------------------------------------------------
+# whole-tree oracle
+
+_TIE = 1e-9          # gains this close (relative) may order either way in floating point
+
+
+@dataclass(frozen=True)
+class RefSplit:
+    """One growth step of ``reference_tree``: leaf ``node`` splits and its
+    children take the next two node ids, left first.
+
+    ``tied`` marks a step where rounding could make ``fit_tree`` choose
+    otherwise: another split of the leaf, or another leaf's best split,
+    comes within ``_TIE`` of ``gain``, or so does a split that a different
+    order of equal-mean categories gives.  The gain of a tied step lies in
+    ``[gain, gain_high]`` up to that tolerance."""
+
+    node: int
+    feature: int
+    threshold: float          # NaN at a categorical split
+    cats: Optional[tuple]     # sorted codes of a categorical split's left set
+    default_left: bool
+    gain: float
+    tied: bool
+    gain_high: float
+
+
+def _leaf_candidates(X, y, rows, kinds, msl, cap):
+    """Every legal split of the leaf holding ``rows``, as
+    ``(gain, feature, positions left, missing left, threshold, cats, documented)``
+    with exact rational gains.  ``documented`` is False for the extra
+    category sets that a different order of equal-mean categories gives."""
+    yl = [int(v) for v in y[rows]]
+    n, total = len(yl), sum(yl)
+    sse = Fraction(sum(v * v for v in yl)) - Fraction(total * total, n)
+    floor = Fraction(1e-12) * sse
+    out = []
+
+    def add(f, left, positions, miss, threshold, cats, documented):
+        # ``left``: which of the leaf's present rows go left; ``miss``: the missing rows
+        for miss_left in ((True, False) if miss.any() else (True,)):
+            go = left | miss if miss_left else left & ~miss
+            n_l = int(go.sum())
+            if n_l < msl or n - n_l < msl:
+                continue
+            s_l = sum(v for v, g in zip(yl, go) if g)
+            gain = (Fraction(s_l * s_l, n_l) + Fraction((total - s_l) ** 2, n - n_l)
+                    - Fraction(total * total, n))
+            if gain > floor:
+                out.append((gain, f, positions, miss_left, threshold, cats, documented))
+
+    for f, kind in enumerate(kinds):
+        col = X[rows, f]
+        if kind == CATEGORICAL:
+            miss = np.isnan(col) | (col < 0)
+            if (~miss & (col >= cap)).any():
+                continue                            # a code over the cap: no split on f
+            code = np.where(miss, -1, col).astype(np.int64)
+            by_code = {}
+            for c, v in zip(code.tolist(), yl):
+                if c >= 0:
+                    by_code.setdefault(c, []).append(v)
+            mean = {c: Fraction(sum(vs), len(vs)) for c, vs in by_code.items()}
+            order = sorted(mean, key=lambda c: (mean[c], c))
+            for k in range(1, len(order)):
+                # the k-th code's equal-mean group: floating-point means may
+                # order it any way, so any of its codes may end the prefix
+                group = [c for c in order if mean[c] == mean[order[k - 1]]]
+                start = order.index(group[0])
+                fixed = set(order[:start])
+                for part in itertools.combinations(group, k - start):
+                    left_set = sorted(fixed | set(part))
+                    add(f, np.isin(code, left_set) & ~miss, k, miss, np.nan, tuple(left_set),
+                        list(part) == order[start:k])
+            if miss.any() and (~miss).any():
+                add(f, np.zeros(n, dtype=bool), 0, miss, np.nan, (), True)
+        else:
+            miss = np.isnan(col)
+            vals = np.unique(col[~miss])
+            for i in range(len(vals) - 1):
+                a, b = float(vals[i]), float(vals[i + 1])
+                thr = 0.5 * (a + b)
+                thr = a if thr >= b else thr
+                add(f, ~miss & (np.nan_to_num(col, nan=np.inf) <= a), i + 1, miss, thr, None,
+                    True)
+            if miss.any() and (~miss).any():
+                add(f, np.zeros(n, dtype=bool), 0, miss, -np.inf, None, True)
+    return out
+
+
+def reference_tree(X, y, kinds, params):
+    """Grow a regression tree best-first by brute force, as ``fit_tree``
+    documents it, sharing no code with it: ``(steps, values)``, the
+    ``RefSplit`` growth steps in order and ``{leaf node id: value}``.
+
+    ``y`` must hold integers, so that every gain is an exact rational.  At
+    each step every open leaf's splits are enumerated (numeric cuts between
+    distinct present values, with missing rows on either side or alone on the
+    left at threshold -inf; categorical prefixes of the categories in mean
+    order, ties by code, with missing rows likewise; no split on a column
+    holding a code at or above the cap).  A leaf's best split is the highest
+    gain, then the lower feature, then fewer positions left, then
+    missing-left; the first open leaf with the highest best gain splits,
+    children joining the end of the open list, until ``num_leaves`` leaves or
+    no split beats ``1e-12`` of its leaf's SSE.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    msl, cap = params.min_samples_leaf, params.max_categorical_cardinality
+
+    def best_of(rows):
+        cands = _leaf_candidates(X, y, rows, kinds, msl, cap)
+        documented = [c for c in cands if c[6]]
+        if not documented:
+            return None
+        best = max(documented, key=lambda c: (c[0], -c[1], -c[2], c[3]))
+        tied = any(c[0] >= best[0] * (1 - _TIE) for c in cands if c is not best)
+        return best, tied, max(c[0] for c in cands)
+
+    open_leaves = [(0, np.arange(len(y)))]
+    found = {0: best_of(open_leaves[0][1])}
+    steps, n_nodes = [], 1
+    while len(open_leaves) < params.num_leaves:
+        live = [i for i, (node, _) in enumerate(open_leaves) if found[node] is not None]
+        if not live:
+            break
+        pick = max(live, key=lambda i: (found[open_leaves[i][0]][0][0], -i))
+        node, rows = open_leaves.pop(pick)
+        (gain, f, _, miss_left, thr, cats, _), tied, high = found[node]
+        rivals = [found[other][2] for other, _ in open_leaves if found[other] is not None]
+        tied = tied or any(h >= gain * (1 - _TIE) for h in rivals)
+        high = max([high] + rivals)
+        steps.append(RefSplit(node, f, thr, cats, miss_left, float(gain), tied, float(high)))
+
+        col = X[rows, f]
+        if kinds[f] == CATEGORICAL:
+            miss = np.isnan(col) | (col < 0)
+            go = np.isin(np.where(miss, -1, col).astype(np.int64), list(cats))
+        else:
+            miss = np.isnan(col)
+            go = np.nan_to_num(col, nan=np.inf) <= thr
+        go = np.where(miss, miss_left, go)
+        for child, part in ((n_nodes, rows[go]), (n_nodes + 1, rows[~go])):
+            open_leaves.append((child, part))
+            found[child] = best_of(part)
+        n_nodes += 2
+
+    values = {node: float(y[rows].mean()) * params.learning_rate for node, rows in open_leaves}
+    return steps, values

@@ -569,11 +569,12 @@ def test_non_finite_settings_never_write_non_finite_samples(tmp_path, capsys, ke
     ("\n\n\n", None),
     ("x0,y\n1,2\n3,4\n", "column.0.name=x0\n"),
     ("x0,y\n1,2\n3,4\n", "column.0.name=x0\ncolumn.0.kind=bogus\n"),
+    ("x0,y\n1,2\n3,4\n", "response=nonexistent\ncolumn.0.name=zz\ncolumn.0.kind=categorical\n"),
     ("x0,y\n1,2\n3,nan\n", None),
     ("x0,y\n1,inf\n3,4\n", None),
     ("x0,y\n1,2\n3,-inf\n", None),
 ], ids=["oversized_cell", "blank_header", "sidecar_without_kind", "sidecar_unknown_kind",
-        "nan_response", "inf_response", "minus_inf_response"])
+        "sidecar_of_another_table", "nan_response", "inf_response", "minus_inf_response"])
 def test_csv_boundary_is_a_data_error(tmp_path, capsys, csv_text, sidecar):
     data = tmp_path / "d.csv"
     data.write_text(csv_text)

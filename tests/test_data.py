@@ -82,6 +82,23 @@ def test_load_csv_sidecar_makes_numeric_looking_column_categorical(tmp_path):
     assert np.array_equal(ds.X[:, 0], [1.0, 0.0, 1.0, -1.0])    # "3" is not in the sidecar
 
 
+def test_load_csv_rejects_a_sidecar_of_another_table(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,y\n1,0\n2,1\n")
+    sidecar = tmp_path / "t.csv.schema"
+    sidecar.write_text("response=nonexistent\ncolumn.0.name=zz\ncolumn.0.kind=categorical\n")
+    with pytest.raises(DataError, match="'nonexistent' is not in the CSV header"):
+        load_csv(p)
+    sidecar.write_text("response=y\ncolumn.0.name=zz\ncolumn.0.kind=categorical\n")
+    with pytest.raises(DataError, match="'zz' is not in the CSV header"):
+        load_csv(p)
+    # a response other than the sidecar's is legal if the header holds it
+    sidecar.write_text("response=y\ncolumn.0.name=a\ncolumn.0.kind=categorical\n")
+    ds = load_csv(p, response="a")
+    assert ds.response_name == "a" and list(ds.y) == [1.0, 2.0]
+    assert [(c.name, c.kind) for c in ds.columns] == [("y", NUMERIC)]
+
+
 def test_duplicate_header_rejected(tmp_path):
     p = tmp_path / "dup.csv"
     p.write_text("a,a,y\n1,2,3\n")

@@ -1,9 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diffboost import tree as tree_module
 from diffboost.tree import (
     CATEGORICAL,
     NUMERIC,
@@ -17,7 +19,7 @@ from diffboost.tree import (
     replace_leaf_values,
 )
 
-from oracles import brute_force_root_gain, random_small_dataset
+from oracles import brute_force_root_gain, random_small_dataset, reference_tree
 
 
 def step_data():
@@ -438,3 +440,211 @@ def test_rank_searches_only_values_in_cells_with_several_cuts(monkeypatch):
     assert np.array_equal(got, np.searchsorted(np.append(cuts, np.inf), values, side="left"))
     assert np.array_equal(spread, np.searchsorted([0.0, 1.0, 2.0, 3.0, np.inf], values))
     assert len(searched) == 1 and sorted(searched[0]) == [0.0, 5e-324, 1e-3]
+
+
+def cat_set(tree, node):
+    """The sorted codes of ``node``'s category set."""
+    start = int(tree.cat_len[:node].sum())
+    return tuple(tree.cat_values[start:start + tree.cat_len[node]].tolist())
+
+
+def assert_matches_reference(tree, X, y, kinds, params):
+    """``tree`` is ``reference_tree``'s, node for node, up to the oracle's
+    first tied step, whose gain alone is checked.  Returns (steps compared
+    in full, steps)."""
+    steps, values = reference_tree(X, y, kinds, params)
+    for s, ref in enumerate(steps):
+        # node ids follow growth order: step s makes nodes 2s + 1 and 2s + 2
+        parents = np.flatnonzero(tree.children_left == 2 * s + 1)
+        assert parents.size == 1
+        node = int(parents[0])
+        gain = tree.split_gain[node]
+        if ref.tied:
+            assert ref.gain * (1 - 1e-9) <= gain <= ref.gain_high * (1 + 1e-9)
+            return s, len(steps)
+        assert gain == pytest.approx(ref.gain, rel=1e-9)
+        assert (node, tree.feature[node], tree.children_right[node]) == \
+            (ref.node, ref.feature, 2 * s + 2)
+        assert tree.default_left[node] == ref.default_left
+        if ref.cats is None:
+            assert not tree.is_categorical[node] and tree.threshold[node] == ref.threshold
+        else:
+            assert tree.is_categorical[node] and np.isnan(tree.threshold[node])
+            assert cat_set(tree, node) == ref.cats
+    assert tree.n_nodes == 2 * len(steps) + 1
+    leaves = np.flatnonzero(tree.feature < 0)
+    assert {int(i): float(tree.value[i]) for i in leaves} == values
+    return len(steps), len(steps)
+
+
+def small_fit(seed, n, columns, num_leaves, msl, cap):
+    """A small fit with integer targets: ``columns`` lists "complete",
+    "sparse" (numeric with NaN) and "categorical" (with NaN, -1 and codes
+    at or above ``cap``) columns."""
+    rng = np.random.default_rng(seed)
+    cols, kinds = [], []
+    for kind in columns:
+        if kind == "categorical":
+            col = rng.integers(0, min(cap, 6), n).astype(float)
+            u = rng.random(n)
+            col[u < 0.1] = -1.0
+            col[(u >= 0.1) & (u < 0.2)] = np.nan
+            col[(u >= 0.2) & (u < 0.25)] = cap + rng.integers(0, 3)
+        else:
+            col = rng.integers(0, 8, n) / 2 if rng.random() < 0.5 else rng.normal(size=n).round(1)
+            if kind == "sparse":
+                col[rng.random(n) < 0.25] = np.nan
+        cols.append(col)
+        kinds.append(CATEGORICAL if kind == "categorical" else NUMERIC)
+    signal = sum(rng.integers(-3, 4) * np.nan_to_num(col, nan=float(rng.integers(-3, 4)))
+                 for col in cols)
+    y = np.round(signal + rng.integers(-4, 5, n))
+    params = TreeParams(num_leaves=num_leaves, min_samples_leaf=msl,
+                        max_categorical_cardinality=cap)
+    return np.column_stack(cols), y, kinds, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       columns=st.lists(st.sampled_from(["complete", "sparse", "categorical"]),
+                        min_size=1, max_size=4),
+       num_leaves=st.integers(2, 12), msl=st.integers(1, 5), cap=st.integers(3, 9))
+def test_fit_tree_matches_the_reference_tree(seed, n, columns, num_leaves, msl, cap):
+    X, y, kinds, params = small_fit(seed, n, columns, num_leaves, msl, cap)
+    assert_matches_reference(fit_tree(X, y, kinds, params), X, y, kinds, params)
+
+
+def test_reference_comparisons_are_mostly_complete():
+    # ties cut a comparison short; on these draws most steps are still checked in full
+    full = total = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        columns = rng.choice(["complete", "sparse", "categorical"], size=rng.integers(1, 5))
+        X, y, kinds, params = small_fit(seed, int(rng.integers(2, 41)), list(columns),
+                                        int(rng.integers(2, 13)), int(rng.integers(1, 6)),
+                                        int(rng.integers(3, 10)))
+        done, steps = assert_matches_reference(fit_tree(X, y, kinds, params), X, y, kinds,
+                                               params)
+        full += done
+        total += steps
+    assert total > 500 and full >= 0.75 * total
+
+
+def fit_one_leaf_per_search(X, y, kinds, params):
+    """``fit_tree`` with every leaf searched as a batch of one."""
+    real = tree_module._Fit.evaluate
+
+    def one_at_a_time(self, leaves, y, codes):
+        for leaf in leaves:
+            real(self, [leaf], leaf.y, leaf.codes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module._Fit, "evaluate", one_at_a_time)
+        return fit_tree(X, y, kinds, params)
+
+
+def assert_same_tree(a, b):
+    for name in ("feature", "threshold", "is_categorical", "cat_len", "cat_values",
+                 "default_left", "children_left", "children_right", "value", "split_gain"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def sibling_edge_fit(seed, msl, n_big, small, constant, missing_in_one, over_cap_in_one,
+                     side_low, n_cat, sparse, num_leaves):
+    """A fit whose column 0 puts the rows of one side in one child of the
+    root: that child may be below ``2 * msl``, constant, the only one with
+    missing category bins, or the only one with codes over the cap."""
+    rng = np.random.default_rng(seed)
+    n_side = int(rng.integers(msl, 2 * msl) if small else rng.integers(2 * msl, 30))
+    n = n_big + n_side
+    side = np.zeros(n, dtype=bool)
+    side[rng.permutation(n)[:n_side]] = True
+    cap = 6
+    cols = [np.where(side == side_low, rng.uniform(0, 1, n), rng.uniform(2, 3, n))]
+    for _ in range(n_cat):
+        col = rng.integers(0, 5, n).astype(float)
+        holes = rng.random(n) < 0.3
+        holes &= side if missing_in_one else True
+        col[holes] = np.where(rng.random(n) < 0.5, np.nan, -1.0)[holes]
+        if over_cap_in_one:
+            col[side & (rng.random(n) < 0.3)] = cap + 1
+        cols.append(col)
+    if sparse:
+        col = rng.normal(size=n).round(1)
+        col[rng.random(n) < 0.2] = np.nan
+        cols.append(col)
+    X = np.column_stack(cols)
+    kinds = [NUMERIC] + [CATEGORICAL] * n_cat + [NUMERIC] * sparse
+    y = 100.0 * side + rng.integers(-3, 4, n) + 2 * np.nan_to_num(X[:, 1])
+    if constant:
+        y[side] = 100.0
+    params = TreeParams(num_leaves=num_leaves, min_samples_leaf=msl,
+                        max_categorical_cardinality=cap)
+    return X, y, kinds, params
+
+
+_EDGE_FLAGS = dict(small=st.booleans(), constant=st.booleans(), missing_in_one=st.booleans(),
+                   over_cap_in_one=st.booleans(), side_low=st.booleans(),
+                   n_cat=st.integers(1, 3), sparse=st.booleans(), num_leaves=st.integers(3, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), msl=st.integers(1, 5), n_big=st.integers(10, 40),
+       **_EDGE_FLAGS)
+def test_sibling_batch_matches_one_leaf_batches(seed, msl, n_big, **flags):
+    X, y, kinds, params = sibling_edge_fit(seed, msl, n_big, **flags)
+    # the root splits off the side, whose targets are near 100 (column 0 does
+    # it, and another column may do it too)
+    stump = fit_tree(X, y, kinds, replace(params, num_leaves=2))
+    leaf, side = apply_tree(stump, X), y > 50
+    assert stump.n_leaves == 2 and np.array_equal(leaf == leaf[side][0], side)
+    assert_same_tree(fit_tree(X, y, kinds, params), fit_one_leaf_per_search(X, y, kinds, params))
+
+
+def test_sibling_edge_fits_cover_every_batch_edge():
+    # the cases the property test above is for all occur within these draws
+    seen = set()
+    real = tree_module._Fit._best_categorical
+
+    def spy(self, batch, y, codes, msl):
+        leaves = [leaf for leaf, _, _ in batch]
+        if len(leaves) == 1 and leaves[0].node_id > 0:
+            seen.add(("one sibling searched, slot", leaves[0].slot))
+        bins = [(leaf.codes - leaf.slot * self.cat_width) % (self.cat_k + 2) for leaf in leaves]
+        for name, b in (("missing", self.cat_k), ("over the cap", self.cat_k + 1)):
+            held = [bool((leaf_bins == b).any()) for leaf_bins in bins]
+            if len(held) == 2:
+                seen.add((name, "in one sibling" if held[0] != held[1] else "in both or none"))
+        return real(self, batch, y, codes, msl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module._Fit, "_best_categorical", spy)
+        for seed in range(64):
+            flags = {name: bool(seed >> i & 1) for i, name in enumerate(
+                ["small", "constant", "missing_in_one", "over_cap_in_one", "side_low", "sparse"])}
+            fit_tree(*sibling_edge_fit(seed, 1 + seed % 4, 20, n_cat=2, num_leaves=8, **flags))
+    assert {("one sibling searched, slot", 0), ("one sibling searched, slot", 1),
+            ("missing", "in one sibling"), ("over the cap", "in one sibling")} <= seen
+
+
+@pytest.mark.parametrize("kinds", [[CATEGORICAL, CATEGORICAL], [NUMERIC, CATEGORICAL],
+                                   [NUMERIC, NUMERIC]], ids=["categorical", "mixed", "numeric"])
+def test_a_two_leaf_fit_searches_the_root_only(kinds):
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 4, size=(60, 2)).astype(float)
+    X[rng.random((60, 2)) < 0.1] = np.nan
+    y = np.round(5 * np.nan_to_num(X[:, 0], nan=1.5) + rng.integers(-2, 3, 60))
+    params = TreeParams(num_leaves=2, min_samples_leaf=3)
+    searched = []
+    real = tree_module._Fit.evaluate
+
+    def spy(self, leaves, y, codes):
+        searched.append([leaf.node_id for leaf in leaves])
+        return real(self, leaves, y, codes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module._Fit, "evaluate", spy)
+        tree = fit_tree(X, y, kinds, params)
+    assert searched == [[0]]                  # the split that fills the budget ends growth
+    assert tree.n_leaves == 2
+    assert assert_matches_reference(tree, X, y, kinds, params) == (1, 1)
