@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,13 @@ def test_load_csv_type_inference(tmp_path):
     assert list(ds.y) == [2.0, 3.0, 4.0]
     assert ds.response_name == "y"
 
+    # numeric cells follow Python's float() syntax; "nan" is a missing cell
+    p.write_text("a,h,y\n1_0,0x1,1\n 3,2,2\nnan,3,3\n")
+    ds = load_csv(p)
+    assert [c.kind for c in ds.columns] == [NUMERIC, CATEGORICAL]
+    assert np.array_equal(ds.X[:, 0], [10.0, 3.0, np.nan], equal_nan=True)
+    assert ds.columns[1].categories == ("0x1", "2", "3")
+
 
 def test_load_csv_error_contracts(tmp_path):
     empty = tmp_path / "e.csv"
@@ -51,6 +59,12 @@ def test_load_csv_error_contracts(tmp_path):
     with pytest.raises(DataError, match="row 3"):
         load_csv(badresp)
 
+    # a response cell that is no number anywhere is reported before a non-finite
+    # one on an earlier row
+    badresp.write_text("a,y\n1, 3\n2,1_0\n3,inf\n4,y\n5,NA\n")
+    with pytest.raises(DataError, match="row 5: 'y' is not numeric"):
+        load_csv(badresp)
+
 
 def test_load_csv_response_override(tmp_path):
     p = tmp_path / "o.csv"
@@ -65,9 +79,10 @@ def test_load_csv_response_override(tmp_path):
 
 def test_load_csv_rejects_infinite_cells(tmp_path):
     p = tmp_path / "inf.csv"
-    p.write_text("a,y\ninf,1.0\n2.0,3.0\n")
-    with pytest.raises(DataError, match="finite"):
-        load_csv(p)
+    for cell in ("inf", "1e400", "-inf"):
+        p.write_text(f"a,y\n2.0,1.0\n{cell},3.0\n")
+        with pytest.raises(DataError, match=f"row 3: '{cell}' is not a finite number"):
+            load_csv(p)
 
 
 def test_load_csv_sidecar_makes_numeric_looking_column_categorical(tmp_path):
@@ -80,6 +95,13 @@ def test_load_csv_sidecar_makes_numeric_looking_column_categorical(tmp_path):
     assert ds.columns[0].kind == CATEGORICAL
     assert ds.columns[0].categories == ("2", "1")
     assert np.array_equal(ds.X[:, 0], [1.0, 0.0, 1.0, -1.0])    # "3" is not in the sidecar
+
+    # a categorical column listing no categories fixes an empty dictionary
+    (tmp_path / "h.csv.schema").write_text(
+        "response=y\ncolumn.0.name=a\ncolumn.0.kind=categorical\n")
+    ds = load_csv(p)
+    assert ds.columns[0].categories == ()
+    assert np.array_equal(ds.X[:, 0], [-1.0] * 4)
 
 
 def test_load_csv_rejects_a_sidecar_of_another_table(tmp_path):
@@ -120,6 +142,21 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.X, ds.X, equal_nan=True)
     assert np.array_equal(back.y, ds.y)
     assert back.response_name == ds.response_name
+
+
+def test_save_csv_golden_bytes(tmp_path):
+    # pins the CSV and sidecar bytes: NaN, signed zero, extreme exponents, a
+    # -1 code, categories that need CSV quoting, a response not named "y"
+    X = np.array([[np.nan, 0.0], [-0.0, np.nan], [1e-300, -1.0], [1e300, 1.0], [0.1, 2.0]])
+    cols = (Column("num", NUMERIC), Column("cat", CATEGORICAL, ("a,b", 'say "hi"', "plain")))
+    ds = Dataset("golden", cols, X, np.array([1.0, -0.5, 2.0 / 3.0, 1e-7, 3.0]),
+                 response_name="target")
+    path = tmp_path / "g.csv"
+    save_csv(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "8c3a2b061105522eed30ee6a7632c556f1ea052ff3dce6ec017bc0097de9821e"
+    assert hashlib.sha256(Path(f"{path}.schema").read_bytes()).hexdigest() == \
+        "a5e98d50780c3fe522f0da90102f3299527392669c94cc43a9c5af19fada2f22"
 
 
 def test_make_split_counts_and_determinism():
