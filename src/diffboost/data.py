@@ -95,26 +95,32 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 # CSV in/out
 
-def _parse_number(cell: str):
+def _floats(cells, missing=_MISSING_CELLS):
+    """The cells as floats, NaN for a ``missing`` one, and None; or, at the first
+    cell that is not a number, the floats before it and its index."""
+    out = []
     try:
-        return float(cell)
+        for c in cells:
+            out.append(math.nan if c in missing else float(c))
     except ValueError:
-        return None
+        return out, len(out)
+    return out, None
 
 
 def load_csv(path, *, response: Optional[str] = None) -> Dataset:
-    """Read a CSV with a header row; the last column is the response unless
-    ``response`` names another one.  The dataset is named after the file stem.
+    """Read a UTF-8 CSV with a header row; the last column is the response
+    unless ``response`` names another one.  The dataset is named after the
+    file stem.
 
-    A column is numeric when every non-missing cell parses as a number, else
-    categorical.  Empty cells and ``NA`` are missing.  A sidecar
-    schema file (``<path>.schema``) written by :func:`save_csv` fixes kinds and
-    dictionary order, overriding inference.  A sidecar whose response or
-    columns are not all in the header belongs to another table: a
+    A column is numeric when every non-missing cell parses as a number (Python
+    ``float()`` syntax), else categorical.  Empty cells and ``NA`` are missing.
+    A sidecar schema file (``<path>.schema``) written by :func:`save_csv` fixes
+    kinds and dictionary order, overriding inference.  A sidecar whose response
+    or columns are not all in the header belongs to another table: a
     ``DataError``.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh, delimiter=DELIMITER))
         except (csv.Error, UnicodeDecodeError) as exc:   # e.g. a cell past the size limit
@@ -134,106 +140,85 @@ def load_csv(path, *, response: Optional[str] = None) -> Dataset:
     response_name = response if response is not None else header[-1]
     if response_name not in header:
         raise DataError(f"{path}: response column {response_name!r} not in header")
-    r_idx = header.index(response_name)
-    feat_names = [h for j, h in enumerate(header) if j != r_idx]
-
     sidecar = _read_schema(Path(str(path) + ".schema"), header)
 
-    def decide_kind(col_name, cells):
-        if sidecar is not None and col_name in sidecar:
-            return sidecar[col_name]
-        numeric = all(_parse_number(c) is not None
-                      for c in cells if c not in _MISSING_CELLS)
-        return (NUMERIC if numeric else CATEGORICAL), None
+    def cells_of(name):
+        j = header.index(name)
+        return [row[j] for row in raw_rows]
 
-    n = len(raw_rows)
-    X = np.empty((n, width - 1))
+    X = np.empty((len(raw_rows), width - 1))
     columns = []
-    for j, col_name in enumerate(feat_names):
-        src = header.index(col_name)
-        cells = [row[src] for row in raw_rows]
-        kind, fixed_cats = decide_kind(col_name, cells)
-        if kind == NUMERIC:
-            for i, c in enumerate(cells):
-                if c in _MISSING_CELLS:
-                    X[i, j] = np.nan
-                else:
-                    v = _parse_number(c)
-                    if v is None or math.isinf(v):
-                        raise DataError(
-                            f"{path}: column {col_name!r} row {i + 2}: {c!r} is not "
-                            "a finite number")
-                    X[i, j] = v
-            columns.append(Column(col_name, NUMERIC))
-        else:
-            frozen = fixed_cats is not None
-            cats = list(fixed_cats or ())
-            lookup = {c: k for k, c in enumerate(cats)}
-            for i, c in enumerate(cells):
-                if c in _MISSING_CELLS:
-                    X[i, j] = np.nan
-                elif c in lookup:
-                    X[i, j] = lookup[c]
-                elif frozen:
-                    X[i, j] = -1.0          # unseen under a fixed dictionary
-                else:
-                    lookup[c] = len(cats)
-                    cats.append(c)
-                    X[i, j] = lookup[c]
-            columns.append(Column(col_name, CATEGORICAL, tuple(cats)))
+    for j, name in enumerate(h for h in header if h != response_name):
+        cells = cells_of(name)
+        kind, cats = sidecar.get(name, (None, None))
+        if kind != CATEGORICAL:
+            values, bad = _floats(cells)
+            if bad is None or kind == NUMERIC:
+                values = np.array(values)
+                infinite = np.flatnonzero(np.isinf(values))
+                i = infinite[0] if infinite.size else bad
+                if i is not None:
+                    raise DataError(f"{path}: column {name!r} row {i + 2}: "
+                                    f"{cells[i]!r} is not a finite number")
+                X[:, j] = values
+                columns.append(Column(name, NUMERIC))
+                continue
+        if cats is None:        # inferred: first-appearance order
+            cats = tuple(c for c in dict.fromkeys(cells) if c not in _MISSING_CELLS)
+        codes = {c: float(k) for k, c in enumerate(cats)}
+        codes.update(dict.fromkeys(_MISSING_CELLS, math.nan))
+        X[:, j] = [codes.get(c, -1.0) for c in cells]   # -1: unseen under a fixed dictionary
+        columns.append(Column(name, CATEGORICAL, cats))
 
-    y = np.empty(n)
-    for i, row in enumerate(raw_rows):
-        v = _parse_number(row[r_idx])
-        if v is None:
-            raise DataError(
-                f"{path}: response {response_name!r} row {i + 2}: {row[r_idx]!r} is not numeric")
-        y[i] = v
+    cells = cells_of(response_name)
+    values, bad = _floats(cells, missing=())
+    if bad is not None:
+        raise DataError(f"{path}: response {response_name!r} row {bad + 2}: "
+                        f"{cells[bad]!r} is not numeric")
+    y = np.array(values)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
-        i = int(bad[0])
-        raise DataError(f"{path}: response {response_name!r} row {i + 2}: "
-                        f"{raw_rows[i][r_idx]!r} is not a finite number")
-
+        raise DataError(f"{path}: response {response_name!r} row {bad[0] + 2}: "
+                        f"{cells[bad[0]]!r} is not a finite number")
     return Dataset(name=path.stem, columns=tuple(columns), X=X, y=y,
                    response_name=response_name)
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write the dataset as CSV plus a ``<path>.schema`` sidecar fixing kinds
-    and dictionary order, so a reload reproduces the dataset exactly."""
+    """Write the dataset as UTF-8 CSV plus a ``<path>.schema`` sidecar fixing
+    kinds and dictionary order, so a reload reproduces the dataset exactly.
+    The sidecar is line-based: a column name, response name or category that
+    ``str.splitlines`` would split is a ``DataError``, and nothing is written."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    lines = [f"response={ds.response_name}"]
+    table = []
+    for j, (col, values) in enumerate(zip(ds.columns, ds.X.T.astype(float).tolist())):
+        lines += [f"column.{j}.name={col.name}", f"column.{j}.kind={col.kind}"]
+        if col.kind == CATEGORICAL:
+            lines += [f"column.{j}.category.{k}={c}" for k, c in enumerate(col.categories)]
+            table.append([col.categories[int(v)] if v >= 0 else MISSING_SENTINEL
+                          for v in values])
+        else:
+            table.append([MISSING_SENTINEL if math.isnan(v) else repr(v) for v in values])
+    table.append([repr(v) for v in ds.y.astype(float).tolist()])
+    for line in lines:
+        if "".join(line.splitlines()) != line:
+            raise DataError(f"{path}: cannot save {line.partition('=')[2]!r}: "
+                            "the .schema sidecar holds one value per line")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=DELIMITER)
         writer.writerow([c.name for c in ds.columns] + [ds.response_name])
-        for i in range(ds.n_rows):
-            row = []
-            for j, col in enumerate(ds.columns):
-                v = ds.X[i, j]
-                if math.isnan(v):
-                    row.append(MISSING_SENTINEL)
-                elif col.kind == CATEGORICAL:
-                    row.append(col.categories[int(v)] if v >= 0 else MISSING_SENTINEL)
-                else:
-                    row.append(repr(float(v)))
-            row.append(repr(float(ds.y[i])))
-            writer.writerow(row)
-    lines = [f"response={ds.response_name}"]
-    for j, col in enumerate(ds.columns):
-        lines.append(f"column.{j}.name={col.name}")
-        lines.append(f"column.{j}.kind={col.kind}")
-        if col.kind == CATEGORICAL:
-            for k, cat in enumerate(col.categories):
-                lines.append(f"column.{j}.category.{k}={cat}")
-    Path(str(path) + ".schema").write_text("\n".join(lines) + "\n")
+        writer.writerows(zip(*table))
+    Path(str(path) + ".schema").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_schema(path: Path, header):
-    """{column name: (kind, categories or None)} from a sidecar, or None.
+    """{column name: (kind, categories or None)} from a sidecar, {} without one.
     Every column it names, the response included, must be in ``header``."""
     if not path.exists():
-        return None
-    fields = dict(line.partition("=")[::2] for line in path.read_text().splitlines()
+        return {}
+    fields = dict(line.partition("=")[::2]
+                  for line in path.read_text(encoding="utf-8").splitlines()
                   if line.strip())
     response = fields.get("response")
     if response is not None and response not in header:

@@ -1,12 +1,15 @@
 """Independent brute-force references used by the test suite.
 
-Everything here is deliberately slow and dumb: direct SSE computations and
-exhaustive enumeration, sharing no code with the library's split search.
+Everything here is deliberately slow and dumb: direct SSE computations,
+exhaustive enumeration and a row-by-row CSV reader, sharing no code with the
+library's split search or its CSV reader.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -261,3 +264,108 @@ def reference_tree(X, y, kinds, params):
 
     values = {node: float(y[rows].mean()) * params.learning_rate for node, rows in open_leaves}
     return steps, values
+
+
+# ---------------------------------------------------------------------------
+# CSV reader oracle
+
+class CsvRejected(Exception):
+    """The reference CSV reader found the file malformed."""
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _reference_sidecar(path, header):
+    """{name: (kind, categories or None)} from ``path``, {} when it is absent.
+    Lines are ``key=value`` split at the first ``=``; blank lines are skipped
+    and a later key wins.  Columns ``column.0``, ``column.1``, ... run until a
+    name is missing, and categories likewise."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return {}
+    fields = {}
+    for line in text.splitlines():
+        if line.strip():
+            key, _, value = line.partition("=")
+            fields[key] = value
+    if "response" in fields and fields["response"] not in header:
+        raise CsvRejected("sidecar response not in header")
+    out = {}
+    for j in itertools.count():
+        name = fields.get(f"column.{j}.name")
+        if name is None:
+            return out
+        kind = fields.get(f"column.{j}.kind")
+        if name not in header or kind not in ("numeric", CATEGORICAL):
+            raise CsvRejected(f"sidecar column {j}")
+        cats = None
+        if kind == CATEGORICAL:
+            cats = []
+            while f"column.{j}.category.{len(cats)}" in fields:
+                cats.append(fields[f"column.{j}.category.{len(cats)}"])
+        out[name] = (kind, cats)
+
+
+def reference_load_csv(path, response=None):
+    """``load_csv``'s documented rules, read row by row: ``(response name,
+    [(name, kind, categories or None)], X, y)``, or ``CsvRejected``.
+
+    The file is UTF-8 CSV: a header of distinct names, at least one data row,
+    every row as wide as the header.  The response is the last column unless
+    named.  Cells ``""`` and ``NA`` are missing.  A feature is numeric when
+    its ``<path>.schema`` sidecar says so, or, with no sidecar entry, when
+    every present cell is a Python ``float()``; its present cells must then be
+    finite numbers.  Otherwise it is categorical: codes index the sidecar's
+    categories (the last of equal ones; -1 for an unlisted cell) or, with no
+    sidecar entry, the present cells in first-appearance order.  Every
+    response cell must be a finite number.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise CsvRejected(str(exc)) from None
+    if len(rows) < 2 or not rows[0]:
+        raise CsvRejected("no header or no data rows")
+    header, body = rows[0], rows[1:]
+    if len(set(header)) < len(header) or any(len(row) != len(header) for row in body):
+        raise CsvRejected("duplicate names or ragged rows")
+    response = header[-1] if response is None else response
+    if response not in header:
+        raise CsvRejected("response not in header")
+    sidecar = _reference_sidecar(path.with_name(path.name + ".schema"), header)
+
+    columns, X = [], [[] for _ in body]
+    for name in header:
+        if name == response:
+            continue
+        cells = [row[header.index(name)] for row in body]
+        present = [c for c in cells if c not in ("", "NA")]
+        if name in sidecar:
+            kind, cats = sidecar[name]
+        elif all(_number(c) is not None for c in present):
+            kind, cats = "numeric", None
+        else:
+            kind, cats = CATEGORICAL, list(dict.fromkeys(present))
+        if kind == "numeric":
+            if any(_number(c) is None or math.isinf(_number(c)) for c in present):
+                raise CsvRejected(f"column {name!r} holds a cell that is no finite number")
+        for row_out, c in zip(X, cells):
+            if c in ("", "NA"):
+                row_out.append(math.nan)
+            elif kind == "numeric":
+                row_out.append(float(c))
+            else:
+                row_out.append(float(max((k for k, d in enumerate(cats) if d == c), default=-1)))
+        columns.append((name, kind, None if cats is None else tuple(cats)))
+
+    y = [_number(row[header.index(response)]) for row in body]
+    if any(v is None or not math.isfinite(v) for v in y):
+        raise CsvRejected("response cell that is no finite number")
+    return response, columns, np.array(X).reshape(len(body), len(columns)), np.array(y)

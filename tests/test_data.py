@@ -1,10 +1,16 @@
+import csv
 import hashlib
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diffboost
 from diffboost.data import (
     Column,
     DataError,
@@ -22,6 +28,7 @@ from diffboost.data import (
     TOY_SEGMENT_NOISE,
 )
 from diffboost.tree import CATEGORICAL, NUMERIC
+from oracles import CsvRejected, reference_load_csv
 
 
 def test_load_csv_type_inference(tmp_path):
@@ -159,6 +166,39 @@ def test_save_csv_golden_bytes(tmp_path):
         "a5e98d50780c3fe522f0da90102f3299527392669c94cc43a9c5af19fada2f22"
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["LF", "CR", "CRLF", "VT", "FF", "FS", "NEL", "LS"])
+@pytest.mark.parametrize("where", ["column", "response", "category"])
+def test_save_csv_rejects_line_breaks_the_sidecar_would_split(tmp_path, where, brk):
+    text = f"p{brk}q"
+    cols = (Column(text if where == "column" else "c", CATEGORICAL,
+                   (text if where == "category" else "a", "r")),)
+    ds = Dataset("t", cols, np.array([[0.0], [1.0]]), np.zeros(2),
+                 response_name=text if where == "response" else "y")
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match="one value per line"):
+        save_csv(ds, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_files_are_utf8_whatever_the_locale(tmp_path):
+    # under a POSIX locale with UTF-8 mode off, the default text encoding is ASCII
+    (tmp_path / "in.csv").write_bytes("x\u00e9,y\ncaf\u00e9,1\nth\u00e9,2\n".encode("utf-8"))
+    child = ("import locale, sys; from diffboost.data import load_csv, save_csv; "
+             "ds = load_csv(sys.argv[1] + '/in.csv'); save_csv(ds, sys.argv[1] + '/out.csv'); "
+             "print(locale.getpreferredencoding(False))")
+    env = {**os.environ, "LC_ALL": "POSIX",
+           "PYTHONPATH": str(Path(diffboost.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-c", child, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "utf" not in run.stdout.lower()
+    assert (tmp_path / "out.csv").read_bytes() == \
+        "x\u00e9,y\r\ncaf\u00e9,1.0\r\nth\u00e9,2.0\r\n".encode("utf-8")
+    ds = load_csv(tmp_path / "out.csv")
+    assert ds.columns == (Column("x\u00e9", CATEGORICAL, ("caf\u00e9", "th\u00e9")),)
+
+
 def test_make_split_counts_and_determinism():
     ds = toy_generate("a", 506, seed=0)
     spec = SplitSpec(train_fraction=0.9, fold_seed=1, fold_index=3)
@@ -281,26 +321,73 @@ def test_reencode_unknown_category(tmp_path):
         reencode(test_ds, (Column("c", NUMERIC),))
 
 
-_CELL = st.one_of(st.sampled_from(["", "NA", "nan", "inf", "1.5", "-2", "a", "x0", "y", '"', "\r"]),
+_CELL = st.one_of(st.sampled_from(["", "NA", "nan", "inf", "-inf", "1e400", "1.5", "-2", "-0.0",
+                                   "1_0", " 3", "0x1", "a", "x0", "y", '"', "\r"]),
                   st.text(max_size=3))
 _SIDECAR_LINE = st.one_of(
     st.tuples(st.sampled_from(["response", "column.0.name", "column.0.kind", "column.1.name",
-                               "column.1.kind", "column.0.category.0", "column.1.category.0"]),
+                               "column.1.kind", "column.0.category.0", "column.1.category.0",
+                               "column.0.category.1"]),
               st.one_of(st.sampled_from([NUMERIC, CATEGORICAL, "bogus", "", "a", "x0", "y"]),
                         st.text(max_size=3))).map("=".join),
     st.text(max_size=5))
 
 
-@settings(max_examples=150, deadline=None)
-@given(lines=st.lists(st.lists(_CELL, max_size=4).map(",".join), max_size=5),
-       sidecar=st.one_of(st.none(), st.lists(_SIDECAR_LINE, max_size=5)))
-def test_fuzzed_csv_and_sidecar_load_or_raise_a_data_error(tmp_path_factory, lines, sidecar):
+_NUMBER_CELL = st.sampled_from(["", "NA", "nan", "1.5", "-2", "-0.0", "1_0", " 3", "1e-300"])
+_RESPONSE_CELL = st.sampled_from(["1.5", "-2", "-0.0", "1_0", " 3", "0", "7", "2.5", "1e-300",
+                                  "-1e300", "inf", "y"])
+
+
+@st.composite
+def _table(draw):
+    """A rectangular table in CSV quoting, one cell pool per column, and a
+    sidecar naming some of its columns: most of these load."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.one_of(st.sampled_from(["a", "b", "x0", "y"]), st.text(max_size=2)),
+                           min_size=width, max_size=width, unique=True))
+    pools = [draw(st.sampled_from([_NUMBER_CELL, _CELL])) for _ in range(width - 1)]
+    rows = draw(st.lists(st.tuples(*pools, _RESPONSE_CELL), min_size=1, max_size=5))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    if draw(st.integers(0, 3)) == 0:
+        return out.getvalue(), None
+    sidecar = [f"response={header[-1]}"]
+    for j, name in enumerate(draw(st.lists(st.sampled_from(header[:-1]), min_size=1, unique=True))
+                             if width > 1 else []):
+        kind = draw(st.sampled_from([NUMERIC, CATEGORICAL]))
+        sidecar += [f"column.{j}.name={name}", f"column.{j}.kind={kind}"]
+        if kind == CATEGORICAL:
+            cells = [row[header.index(name)] for row in rows]
+            cats = draw(st.lists(st.sampled_from([*cells, "a", "", "NA"]), max_size=3))
+            sidecar += [f"column.{j}.category.{k}={c}" for k, c in enumerate(cats)]
+    return out.getvalue(), sidecar + draw(st.lists(_SIDECAR_LINE, max_size=1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.one_of(st.tuples(st.lists(st.lists(_CELL, max_size=4).map(",".join), max_size=5)
+                                .map("\n".join),
+                                st.one_of(st.none(), st.lists(_SIDECAR_LINE, max_size=5))),
+                      _table()))
+def test_fuzzed_csv_and_sidecar_load_or_raise_a_data_error(tmp_path_factory, case):
+    # load_csv either raises DataError where the reference reader rejects the
+    # file, or returns the reference's kinds, dictionaries and values
+    text, sidecar = case
     p = tmp_path_factory.mktemp("fuzz") / "d.csv"
-    p.write_text("\n".join(lines), encoding="utf-8")
+    p.write_text(text, encoding="utf-8")
     if sidecar is not None:
         Path(f"{p}.schema").write_text("\n".join(sidecar), encoding="utf-8")
     try:
+        expected = reference_load_csv(p)
+    except CsvRejected:
+        expected = None
+    try:
         ds = load_csv(p)
     except DataError:
+        assert expected is None
         return
-    assert isinstance(ds, Dataset)
+    assert expected is not None
+    response, columns, X, y = expected
+    assert ds.response_name == response
+    assert [(c.name, c.kind, c.categories) for c in ds.columns] == columns
+    assert np.array_equal(ds.X, X, equal_nan=True)
+    assert np.array_equal(ds.y, y)
