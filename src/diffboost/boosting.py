@@ -135,15 +135,11 @@ def predict_mean(est: MeanEstimator, rows: np.ndarray) -> np.ndarray:
     those same float additions in the same order.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    single = rows.ndim == 1
-    if single:
-        rows = rows[None, :]
-    raw = np.empty(rows.shape[0])
+    raw = np.empty(rows.shape[:1])          # _walk_forest refuses rows that are not 2-D
     for start, values in _walk_forest(est.trees, rows):
         terms = np.empty((values.shape[0] + 1, values.shape[1]))
         terms[0] = est.base_score
         np.multiply(est.config.shrinkage, values, out=terms[1:])
         np.add.accumulate(terms, axis=0, out=terms)
         raw[start:start + values.shape[1]] = terms[-1]
-    out = _sigmoid(raw) if est.config.loss == LOGISTIC else raw
-    return out[0] if single else out
+    return _sigmoid(raw) if est.config.loss == LOGISTIC else raw

@@ -173,10 +173,9 @@ def cmd_train(args) -> int:
     model = _train_one(data, cfg["model-kind"], dbt_cfg, mean_cfg)
     for i, mse in enumerate(model.train_log):
         print(f"[train] t={dbt_cfg.T - i} mse={mse:.6g}", file=sys.stderr)
-    out = args.out or str(Path(args.out_dir or ".") / "model.dbtm")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    print(f"[train] wrote {out}", file=sys.stderr)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    save_model(model, args.out)
+    print(f"[train] wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -408,8 +407,7 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--response", help="response column name (default: last)")
-    p.add_argument("--out", help="model file path")
-    p.add_argument("--out-dir", help="directory for default outputs")
+    p.add_argument("--out", default="model.dbtm", help="model file path (default: %(default)s)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate response samples as CSV")

@@ -44,9 +44,11 @@ class Column:
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
-            raise DataError(f"unknown column kind {self.kind!r}")
+            raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if (self.kind == CATEGORICAL) != (self.categories is not None):
             raise DataError(f"column {self.name!r}: categories iff categorical")
+        if self.categories is not None and len(set(self.categories)) < len(self.categories):
+            raise DataError(f"column {self.name!r}: a category is repeated")
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
 
     def kinds(self) -> list:
         return [c.kind for c in self.columns]
@@ -186,15 +184,27 @@ def load_csv(path, *, response: Optional[str] = None) -> Dataset:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset as UTF-8 CSV plus a ``<path>.schema`` sidecar fixing
-    kinds and dictionary order, so a reload reproduces the dataset exactly.
-    The sidecar is line-based: a column name, response name or category that
-    ``str.splitlines`` would split is a ``DataError``, and nothing is written."""
+    kinds and dictionary order, so a reload reproduces the dataset exactly but
+    for code -1 (a category unseen at encoding), which is written missing.  A
+    table that would not reload so (no rows, a repeated name, a non-finite
+    response or infinite feature cell, a category ``""`` or ``NA``, a code
+    that is not -1 or a category's index, a name or category that the
+    line-based sidecar would split) is a ``DataError``, and nothing is written."""
     path = Path(path)
+    names = [c.name for c in ds.columns] + [ds.response_name]
+    if ds.n_rows == 0 or len(set(names)) < len(names):
+        raise DataError(f"{path}: cannot save a table with no rows or a repeated name")
+    if not np.isfinite(ds.y).all() or np.isinf(ds.X).any():
+        raise DataError(f"{path}: cannot save an infinite cell or a response that is not finite")
     lines = [f"response={ds.response_name}"]
     table = []
-    for j, (col, values) in enumerate(zip(ds.columns, ds.X.T.astype(float).tolist())):
+    for j, (col, x, values) in enumerate(zip(ds.columns, ds.X.T, ds.X.T.astype(float).tolist())):
         lines += [f"column.{j}.name={col.name}", f"column.{j}.kind={col.kind}"]
         if col.kind == CATEGORICAL:
+            if (set(_MISSING_CELLS) & set(col.categories) or not np.isin(
+                    x[~np.isnan(x)], np.arange(-1, len(col.categories))).all()):
+                raise DataError(f"{path}: cannot save column {col.name!r}: a category reads "
+                                "as missing, or a code is not -1 or a category's index")
             lines += [f"column.{j}.category.{k}={c}" for k, c in enumerate(col.categories)]
             table.append([col.categories[int(v)] if v >= 0 else MISSING_SENTINEL
                           for v in values])
@@ -217,9 +227,11 @@ def _read_schema(path: Path, header):
     Every column it names, the response included, must be in ``header``."""
     if not path.exists():
         return {}
-    fields = dict(line.partition("=")[::2]
-                  for line in path.read_text(encoding="utf-8").splitlines()
-                  if line.strip())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    fields = dict(line.partition("=")[::2] for line in text.splitlines() if line.strip())
     response = fields.get("response")
     if response is not None and response not in header:
         raise DataError(f"{path}: response {response!r} is not in the CSV header "
@@ -231,14 +243,15 @@ def _read_schema(path: Path, header):
             raise DataError(f"{path}: column.{j}.name {name!r} is not in the CSV header "
                             "(a schema of another table?)")
         kind, cats = fields.get(f"column.{j}.kind"), None
-        if kind not in (NUMERIC, CATEGORICAL):
-            raise DataError(f"{path}: column.{j}.kind is {kind!r}, "
-                            f"expected {NUMERIC} or {CATEGORICAL}")
         if kind == CATEGORICAL:
             cats = []
             while f"column.{j}.category.{len(cats)}" in fields:
                 cats.append(fields[f"column.{j}.category.{len(cats)}"])
             cats = tuple(cats)
+        try:
+            Column(name, kind, cats)        # a known kind; no repeated category
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         out[name] = (kind, cats)
         j += 1
     return out

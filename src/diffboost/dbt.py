@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class DbtModel:
     kind: str = DBT
 
     def __post_init__(self):
-        if self.kind not in (DBT, CARD_T):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.step_trees) != self.config.T:
             raise ValueError("need exactly one tree per timestep")
@@ -134,7 +134,7 @@ class DbtModel:
                              "standardization and a logistic mean estimator")
 
 
-def encode_prototypes(labels, epsilon: float = 0.01) -> np.ndarray:
+def encode_prototypes(labels, epsilon: float) -> np.ndarray:
     """Map 0/1 labels to symmetric logit-scale prototypes.
 
     Label c becomes logit(c * (1 - 2*epsilon) + epsilon), i.e. labels 0 and 1
@@ -285,42 +285,37 @@ def _training_mse(tree, leaf, target, config):
 
 
 def _train(train: Dataset, config: DbtConfig,
-           mean_config: Optional[MeanEstimatorConfig], kind: str,
-           order: Optional[Sequence[int]] = None) -> DbtModel:
-    """Fit the mean estimator, then one tree per timestep in ``order``
-    (default T down to 1).
+           mean_config: Optional[MeanEstimatorConfig], kind: str) -> DbtModel:
+    """Fit the mean estimator, then one tree per timestep from T down to 1.
 
     Every training row is replicated ``config.n_noise`` times.  Each timestep
     draws fresh noise from a stream keyed by (seed, kind, t); the kind's step
     hook turns it into the noisy-input column and names the tree's target.
     """
     sched = config.schedule
-    order = list(order) if order is not None else list(range(config.T, 0, -1))
-    if sorted(order) != list(range(1, config.T + 1)):
-        raise ValueError("timestep_order must be a permutation of 1..T")
     domain, step, _ = _KINDS[kind]
     setup = _TrainingSetup(train, config, mean_config)
 
     trees: list = [None] * (config.T + 1)
-    log = {}
+    log = []
     # each training row's leaf; only the MSE at a learning rate other than 1 reads it
     leaf = None if config.tree_params.learning_rate == 1.0 else np.empty(setup.m, dtype=np.intp)
-    for t in order:
+    for t in range(config.T, 0, -1):
         rng = streams.stream(config.seed, domain, t)
         eps = rng.standard_normal(setup.m)
         target = step(setup, sched, trees, t, eps, rng)
         trees[t] = fit_tree(setup.Z, target, setup.kinds_z, config.tree_params,
                             presorted=setup.presorted, leaf_out=leaf)
-        log[t] = _training_mse(trees[t], leaf, target, config)
-        if not np.isfinite(log[t]):
-            raise ValueError(f"the training MSE at t={t} is not finite ({log[t]!r})")
+        log.append(_training_mse(trees[t], leaf, target, config))
+        if not np.isfinite(log[-1]):
+            raise ValueError(f"the training MSE at t={t} is not finite ({log[-1]!r})")
 
     return DbtModel(
         mean_est=setup.mean_est, step_trees=tuple(trees[1:]), config=config,
         columns=tuple(train.columns), response_name=train.response_name,
         target_standardization=setup.standardization,
         train_positive_rate=setup.positive_rate,
-        train_log=tuple(log[t] for t in range(config.T, 0, -1)), kind=kind,
+        train_log=tuple(log), kind=kind,
     )
 
 
@@ -336,15 +331,13 @@ def train_dbt(train: Dataset, config: DbtConfig = DbtConfig(),
 
 
 def train_card_t(train: Dataset, config: DbtConfig = DbtConfig(),
-                 mean_config: Optional[MeanEstimatorConfig] = None,
-                 timestep_order: Optional[Sequence[int]] = None) -> DbtModel:
+                 mean_config: Optional[MeanEstimatorConfig] = None) -> DbtModel:
     """Fit a ``"card_t"`` model on (noisy response -> forward noise) pairs.
 
-    Each timestep draws its own noise from a stream keyed by (seed, t), so any
-    ``timestep_order`` (default T down to 1) produces a bit-identical model;
-    the parameter exists because nothing couples the timesteps.
+    Each timestep draws its own noise from a stream keyed by (seed, t) and
+    reads no other timestep's tree, so nothing couples the timesteps.
     """
-    return _train(train, config, mean_config, CARD_T, timestep_order)
+    return _train(train, config, mean_config, CARD_T)
 
 
 def _encode_rows(model, rows) -> np.ndarray:

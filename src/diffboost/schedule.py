@@ -61,7 +61,7 @@ class NoiseSchedule:
             raise ValueError(f"timestep {t} outside [{lowest}, {self.T}]")
 
 
-def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Build the schedule with beta interpolated linearly from start to end inclusive.
 
     Requires T >= 2 and 0 < beta_start <= beta_end < 1, and a schedule whose

@@ -635,13 +635,10 @@ def fit_tree(
 # prediction
 
 def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
-    """Return the leaf node id reached by each row."""
+    """Return the leaf node id reached by each row of the 2-D ``rows``."""
     X = np.asarray(rows, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} columns, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != tree.n_features:
+        raise ValueError(f"expected rows of {tree.n_features} columns, got shape {X.shape}")
     m = X.shape[0]
     out = np.zeros(m, dtype=np.int64)
     is_cat = tree.is_categorical
@@ -658,13 +655,12 @@ def apply_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
                              lut_row[nid])
         stack.append((tree.children_left[nid], ridx[go_left]))
         stack.append((tree.children_right[nid], ridx[~go_left]))
-    return out[0] if single else out
+    return out
 
 
-def predict_tree(tree: DecisionTree, rows: np.ndarray):
-    """Predict a scalar for one row (1-D input) or a vector for a batch (2-D)."""
-    leaf = apply_tree(tree, rows)
-    return tree.value[leaf]
+def predict_tree(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
+    """The leaf value reached by each row of the 2-D ``rows``."""
+    return tree.value[apply_tree(tree, rows)]
 
 
 # (tree, row) pairs routed together by ``_walk_forest``: trees x block rows
@@ -684,6 +680,8 @@ def _walk_forest(trees: Sequence[DecisionTree], rows: np.ndarray):
     they are at least half of those left; until then they step in place.
     """
     X = np.asarray(rows, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected 2-D rows, got shape {X.shape}")
     m = X.shape[0]
     n_trees = len(trees)
     if not n_trees:

@@ -284,11 +284,14 @@ def _reference_sidecar(path, header):
     """{name: (kind, categories or None)} from ``path``, {} when it is absent.
     Lines are ``key=value`` split at the first ``=``; blank lines are skipped
     and a later key wins.  Columns ``column.0``, ``column.1``, ... run until a
-    name is missing, and categories likewise."""
+    name is missing, and categories likewise, which must be distinct.  A file
+    that is not UTF-8 is refused."""
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         return {}
+    except UnicodeDecodeError as exc:
+        raise CsvRejected(str(exc)) from None
     fields = {}
     for line in text.splitlines():
         if line.strip():
@@ -309,6 +312,8 @@ def _reference_sidecar(path, header):
             cats = []
             while f"column.{j}.category.{len(cats)}" in fields:
                 cats.append(fields[f"column.{j}.category.{len(cats)}"])
+            if len(set(cats)) < len(cats):
+                raise CsvRejected(f"sidecar column {j} repeats a category")
         out[name] = (kind, cats)
 
 
@@ -322,7 +327,7 @@ def reference_load_csv(path, response=None):
     its ``<path>.schema`` sidecar says so, or, with no sidecar entry, when
     every present cell is a Python ``float()``; its present cells must then be
     finite numbers.  Otherwise it is categorical: codes index the sidecar's
-    categories (the last of equal ones; -1 for an unlisted cell) or, with no
+    categories (-1 for an unlisted cell) or, with no
     sidecar entry, the present cells in first-appearance order.  Every
     response cell must be a finite number.
     """

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +55,7 @@ def test_squared_step_converges_geometrically():
                                                   shrinkage=0.05))
     rmse = np.sqrt(np.mean((predict_mean(deep, X) - y) ** 2))
     assert rmse < 1e-3
-    assert predict_mean(deep, np.array([0.9])) == pytest.approx(1.0, abs=1e-3)
+    assert predict_mean(deep, np.array([[0.9]])) == pytest.approx([1.0], abs=1e-3)
 
 
 def test_squared_loss_non_increasing_per_stage():
@@ -198,14 +200,11 @@ def test_forest_walk_matches_the_per_tree_loop(seed, n, n_num, n_cat, n_trees, l
             mp.setattr(tree_module, "_WALK_PAIRS", max(n_trees, 1) * block_rows)
         blocks = list(_walk_forest(est.trees, rows))
         got = predict_mean(est, rows)
-        one = predict_mean(est, rows[0]) if m else None
     walked = np.concatenate([v for _, v in blocks], axis=1) if blocks else np.empty((n_trees, 0))
     widths = [v.shape[1] for _, v in blocks]
     assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(blocks))]
     assert np.array_equal(walked, per_tree)
     assert np.array_equal(got, want)
-    if m:
-        assert np.array_equal(one, want[0]) and np.ndim(one) == 0
 
 
 def test_forest_walk_covers_single_leaf_and_categorical_trees():
@@ -226,3 +225,8 @@ def test_forest_walk_checks_the_column_count():
     X, est = mixed_forest(3, 60, 1, 1, 3, SQUARED, 4)
     with pytest.raises(ValueError, match="columns"):
         predict_mean(est, X[:, :2])
+    # rows are 2-D only, with or without trees to walk
+    for forest in (est, replace(est, trees=())):
+        for rows in (X[0], X[None], 0.0):
+            with pytest.raises(ValueError, match="2-D"):
+                predict_mean(forest, rows)

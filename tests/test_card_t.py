@@ -23,23 +23,6 @@ def constant_dataset(n=150, c=2.5, seed=0):
     return Dataset("const", cols, rng.uniform(size=(n, 2)), np.full(n, c))
 
 
-def test_timestep_order_is_irrelevant(tmp_path):
-    from diffboost.model_io import save_model
-    ds = toy_generate("a", 200, seed=1)
-    cfg = tiny_config()
-    rng = np.random.default_rng(5)
-    order = rng.permutation(np.arange(1, cfg.T + 1)).tolist()
-    m1 = train_card_t(ds, cfg)
-    m2 = train_card_t(ds, cfg, timestep_order=order)
-    p1, p2 = tmp_path / "a.dbtm", tmp_path / "b.dbtm"
-    save_model(m1, p1)
-    save_model(m2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-    with pytest.raises(ValueError, match="permutation"):
-        train_card_t(ds, cfg, timestep_order=[1, 1, 2])
-
-
 def test_constant_dataset_noise_is_learnable():
     ds = constant_dataset()
     cfg = tiny_config(tree_params=TreeParams(num_leaves=31, min_samples_leaf=5))
@@ -88,7 +71,7 @@ def test_sampling_determinism():
 def test_input_layout_matches_sequential_variant():
     ds = toy_generate("a", 150, seed=3)
     model = train_card_t(ds, tiny_config())
-    assert all(t.n_features == ds.n_features + 2 for t in model.step_trees)
+    assert all(t.n_features == ds.X.shape[1] + 2 for t in model.step_trees)
     assert model.kind == "card_t"
 
 

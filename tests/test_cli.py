@@ -86,11 +86,13 @@ def test_toy_then_train_then_sample(toy_csv, tmp_path, capsys):
     assert capsys.readouterr().out == out1          # seeded rerun identical
 
 
-def test_train_rerun_byte_identical(toy_csv, tmp_path):
+def test_train_rerun_byte_identical(toy_csv, tmp_path, monkeypatch):
     p1 = _train(toy_csv, tmp_path)
-    p2 = str(tmp_path / "model2.dbtm")
-    assert main(["train", "--data", toy_csv, "--out", p2, *TRAIN_FLAGS]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    # without --out, train writes model.dbtm in the working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main(["train", "--data", toy_csv, *TRAIN_FLAGS]) == 0
+    assert open(p1, "rb").read() == (tmp_path / "cwd" / "model.dbtm").read_bytes()
 
 
 def test_eval_regression_text_and_csv(toy_csv, tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import diffboost
 from diffboost.data import (
@@ -128,6 +128,27 @@ def test_load_csv_rejects_a_sidecar_of_another_table(tmp_path):
     assert [(c.name, c.kind) for c in ds.columns] == [("y", NUMERIC)]
 
 
+def test_load_csv_refuses_a_sidecar_it_cannot_read(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("c,y\na,1\nb,2\n")
+    sidecar = tmp_path / "s.csv.schema"
+    sidecar.write_bytes(b"response=y\xff")
+    with pytest.raises(DataError, match=r"s\.csv\.schema: 'utf-8' codec can't decode"):
+        load_csv(p)
+    sidecar.write_text("response=y\ncolumn.0.name=c\ncolumn.0.kind=categorical\n"
+                       "column.0.category.0=a\ncolumn.0.category.1=a\n")
+    with pytest.raises(DataError, match=r"s\.csv\.schema: column 'c': a category is repeated"):
+        load_csv(p)
+    sidecar.write_text("response=y\ncolumn.0.name=c\ncolumn.0.kind=bogus\n")
+    with pytest.raises(DataError, match=r"s\.csv\.schema: column 'c': unknown kind 'bogus'"):
+        load_csv(p)
+
+
+def test_column_refuses_a_repeated_category():
+    with pytest.raises(DataError, match="repeated"):
+        Column("c", CATEGORICAL, ("a", "a", "b"))
+
+
 def test_duplicate_header_rejected(tmp_path):
     p = tmp_path / "dup.csv"
     p.write_text("a,a,y\n1,2,3\n")
@@ -181,6 +202,31 @@ def test_save_csv_rejects_line_breaks_the_sidecar_would_split(tmp_path, where, b
     assert list(tmp_path.iterdir()) == []
 
 
+_CAT = (Column("c", CATEGORICAL, ("a", "b", "z")),)
+
+
+@pytest.mark.parametrize("ds,reason", [
+    (Dataset("t", (Column("c", CATEGORICAL, ("NA", "", "b")),),
+             np.array([[0.0], [1.0], [2.0]]), np.zeros(3)), "a category reads as missing"),
+    (Dataset("t", _CAT, np.array([[0.0], [3.0]]), np.zeros(2)), "not -1 or a category's index"),
+    (Dataset("t", _CAT, np.array([[0.0], [0.5]]), np.zeros(2)), "not -1 or a category's index"),
+    (Dataset("t", _CAT, np.array([[0.0], [-2.0]]), np.zeros(2)), "not -1 or a category's index"),
+    (Dataset("t", (Column("x", NUMERIC),), np.array([[1.0], [2.0], [np.inf]]), np.zeros(3)),
+     "an infinite cell"),
+    (Dataset("t", (Column("x", NUMERIC),), np.ones((3, 1)), np.array([1.0, 2.0, np.nan])),
+     "a response that is not finite"),
+    (Dataset("t", (Column("x", NUMERIC),), np.ones((2, 1)), np.array([1.0, -np.inf])),
+     "a response that is not finite"),
+    (Dataset("t", (Column("y", NUMERIC),), np.ones((2, 1)), np.zeros(2)), "a repeated name"),
+    (Dataset("t", (Column("x", NUMERIC),), np.ones((0, 1)), np.zeros(0)), "no rows"),
+], ids=["missing_category", "code_past_the_categories", "fractional_code", "code_below_-1",
+        "infinite_feature", "nan_response", "infinite_response", "repeated_name", "no_rows"])
+def test_save_csv_refuses_a_table_that_would_not_reload(tmp_path, ds, reason):
+    with pytest.raises(DataError, match=reason):
+        save_csv(ds, tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_files_are_utf8_whatever_the_locale(tmp_path):
     # under a POSIX locale with UTF-8 mode off, the default text encoding is ASCII
     (tmp_path / "in.csv").write_bytes("x\u00e9,y\ncaf\u00e9,1\nth\u00e9,2\n".encode("utf-8"))
@@ -229,7 +275,7 @@ def test_mcar_mask():
 
 def test_toy_task_a_properties():
     ds = toy_generate("a", 5000, seed=5)
-    assert ds.n_features == 3
+    assert ds.X.shape[1] == 3
     u = ds.X[:, 0]
     inside = np.abs(ds.y - toy_a_segment_mean(u)) <= 4 * TOY_SEGMENT_NOISE
     assert inside.mean() > 0.999
@@ -253,7 +299,7 @@ def test_toy_task_b_bimodal_and_c_smaller():
 
 def test_toy_tasks_d_e():
     d = toy_generate("d", 1000, seed=7)
-    assert d.n_rows == 1000 and d.n_features == 1
+    assert d.n_rows == 1000 and d.X.shape[1] == 1
     e = toy_generate("e", 4000, seed=8)
     lo = e.y[e.X[:, 0] < 0.2]
     hi = e.y[e.X[:, 0] > 1.8]
@@ -279,31 +325,76 @@ def test_clf_toy_regions():
     assert ds.y.mean() == pytest.approx(0.5, abs=0.01)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_csv_round_trip_property(tmp_path_factory, seed):
-    # arbitrary mixtures of numeric/categorical columns and missing cells
-    # survive a save/load cycle exactly
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 30))
-    p = int(rng.integers(1, 4))
-    cols, X = [], np.empty((n, p))
+# names and categories that need CSV quoting, read as missing, look like
+# numbers or repeat (the pool is small)
+_TEXT = st.sampled_from(["a", "b", "x,y", 'q"q', '"', "NA", "", " ", "a=b", "1.5", "caf\u00e9"])
+_FLOAT = st.one_of(st.sampled_from([np.nan, -0.0, 5e-324, -2.2250738585072014e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308,
+                                    np.inf, -np.inf]),
+                   st.floats())
+
+
+@st.composite
+def _dataset_parts(draw):
+    """(response name, [(name, kind, categories or None)], X, y) of a table
+    whose cells and codes are legal in a ``Dataset``; many cannot be saved."""
+    n, p = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    columns, X = [], np.empty((n, p))
     for j in range(p):
-        if rng.random() < 0.5:
-            cats = tuple(f"v{c}" for c in range(int(rng.integers(1, 5))))
-            cols.append(Column(f"c{j}", CATEGORICAL, cats))
-            X[:, j] = rng.integers(0, len(cats), n)
+        if draw(st.booleans()):
+            columns.append((draw(_TEXT), NUMERIC, None))
+            X[:, j] = draw(st.lists(_FLOAT, min_size=n, max_size=n))
         else:
-            cols.append(Column(f"c{j}", NUMERIC))
-            X[:, j] = rng.normal(size=n)
-        X[rng.random(n) < 0.2, j] = np.nan
-    ds = Dataset("prop", tuple(cols), X, rng.normal(size=n))
-    path = tmp_path_factory.mktemp("rt") / "d.csv"
-    save_csv(ds, path)
-    back = load_csv(path)
-    assert np.array_equal(back.X, ds.X, equal_nan=True)
-    assert np.array_equal(back.y, ds.y)
-    assert [c.kind for c in back.columns] == [c.kind for c in ds.columns]
+            cats = tuple(draw(st.lists(_TEXT, max_size=3)))
+            columns.append((draw(_TEXT), CATEGORICAL, cats))
+            codes = st.sampled_from([-1.0, np.nan, *map(float, range(len(cats)))])
+            X[:, j] = draw(st.lists(codes, min_size=n, max_size=n))
+    return draw(_TEXT), columns, X, np.array(draw(st.lists(_FLOAT, min_size=n, max_size=n)))
+
+
+def _bits(a):
+    """An array's shape and bytes, every NaN the same one."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_dataset_parts())
+@example(parts=("t", [("num", NUMERIC, None), ("cat", CATEGORICAL, ("a,b", 'q"q', "NA "))],
+                np.array([[-0.0, 2.0], [5e-324, -1.0], [np.nan, np.nan]]),
+                np.array([1.7976931348623157e308, -0.0, 1.0])))
+def test_csv_round_trip_property(tmp_path_factory, parts):
+    # save_csv either refuses a table and writes nothing, or writes one that
+    # load_csv and the reference reader both read back bit for bit, but for
+    # code -1, which is written as a missing cell
+    response, columns, X, y = parts
+    if any(cats is not None and len(set(cats)) < len(cats) for _, _, cats in columns):
+        with pytest.raises(DataError, match="repeated"):
+            Dataset("t", tuple(Column(*c) for c in columns), X, y, response_name=response)
+        return
+    ds = Dataset("t", tuple(Column(*c) for c in columns), X, y, response_name=response)
+    names = [c.name for c in ds.columns] + [response]
+    refused = (len(y) == 0 or len(set(names)) < len(names) or not np.isfinite(y).all()
+               or np.isinf(X).any()
+               or any({"", "NA"} & set(c.categories or ()) for c in ds.columns))
+    folder = tmp_path_factory.mktemp("rt")
+    try:
+        save_csv(ds, folder / "d.csv")
+    except DataError:
+        assert refused and list(folder.iterdir()) == []
+        return
+    assert not refused
+    want = X.copy()
+    for j, col in enumerate(ds.columns):
+        if col.kind == CATEGORICAL:
+            want[want[:, j] == -1.0, j] = np.nan
+    back = load_csv(folder / "d.csv")
+    assert back.response_name == response and back.columns == ds.columns
+    assert _bits(back.X) == _bits(want) and _bits(back.y) == _bits(y)
+    ref_response, ref_columns, ref_X, ref_y = reference_load_csv(folder / "d.csv")
+    assert ref_response == response
+    assert ref_columns == [(c.name, c.kind, c.categories) for c in ds.columns]
+    assert _bits(ref_X) == _bits(want) and _bits(ref_y) == _bits(y)
 
 
 def test_reencode_unknown_category(tmp_path):

@@ -60,7 +60,7 @@ def test_encode_prototypes():
     near_half = encode_prototypes(np.array([0.0, 1.0]), epsilon=0.4999)
     assert np.abs(near_half).max() < 1e-3          # prototypes collapse
     with pytest.raises(ValueError):
-        encode_prototypes(np.array([0.0, 2.0]))
+        encode_prototypes(np.array([0.0, 2.0]), epsilon=0.01)
     with pytest.raises(ValueError):
         encode_prototypes(np.array([0.0, 1.0]), epsilon=0.7)
 
@@ -97,9 +97,9 @@ def test_replication_design():
     ds = toy_generate("a", 150, seed=2)
     cfg = tiny_config(n_noise=7)
     setup = _TrainingSetup(ds, cfg, None)
-    assert setup.Z.shape == (150 * 7, ds.n_features + 2)
+    assert setup.Z.shape == (150 * 7, ds.X.shape[1] + 2)
     assert setup.kinds_z[0] == NUMERIC and setup.kinds_z[-1] == NUMERIC
-    assert len(setup.kinds_z) == ds.n_features + 2
+    assert len(setup.kinds_z) == ds.X.shape[1] + 2
 
 
 def test_train_log_and_tree_schema():
@@ -108,7 +108,7 @@ def test_train_log_and_tree_schema():
     model = train_dbt(ds, cfg)
     assert len(model.train_log) == cfg.T
     assert all(m >= 0 for m in model.train_log)
-    assert all(t.n_features == ds.n_features + 2 for t in model.step_trees)
+    assert all(t.n_features == ds.X.shape[1] + 2 for t in model.step_trees)
 
 
 def test_step_function_recovery_and_interval():
@@ -250,7 +250,7 @@ def test_importance_shifts_from_mean_estimate_to_noisy_input():
     cfg = DbtConfig(T=60, n_noise=25,
                     tree_params=TreeParams(num_leaves=31, min_samples_leaf=20), seed=7)
     model = train_dbt(train, cfg)
-    fphi_col = train.n_features + 1
+    fphi_col = train.X.shape[1] + 1
     mid = gain_importance(model.step_trees[30 - 1])
     assert int(np.argmax(mid)) == fphi_col           # mean estimate guides mid-chain
     final = gain_importance(model.step_trees[0])

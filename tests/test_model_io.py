@@ -345,6 +345,23 @@ def test_category_code_past_its_column_is_rejected(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_repeated_category_in_the_schema_is_rejected(tmp_path, capsys):
+    path = tmp_path / "m.dbtm"
+    save_model(golden_categorical(), path)
+    raw = path.read_bytes()
+    header, blob_start = _header(raw)
+    categories = header["schema"]["columns"][0]["categories"]
+    categories[1] = categories[0]
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(head)).tobytes() + head + raw[blob_start:])
+    with pytest.raises(ModelFormatError, match="a category is repeated"):
+        load_model(path)
+    data = tmp_path / "d.csv"
+    save_csv(categorical_dataset(n=20, seed=14), data)
+    assert main(["sample", "--model", str(path), "--data", str(data)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_underflowing_schedule_in_file_is_rejected(tmp_path):
     tiny = TreeParams(num_leaves=4, min_samples_leaf=3)
     model = train_dbt(mixed_dataset(n=40, seed=11),

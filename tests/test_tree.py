@@ -33,7 +33,7 @@ def test_constant_targets_single_leaf():
     y = np.full(50, 3.25)
     tree = fit_tree(X, y, [NUMERIC], TreeParams(min_samples_leaf=2))
     assert tree.n_leaves == 1
-    assert predict_tree(tree, np.array([0.9])) == 3.25
+    assert predict_tree(tree, np.array([[0.9]])) == [3.25]
 
 
 def test_step_function_two_leaves():
@@ -59,8 +59,7 @@ def test_missing_routed_to_informative_side():
     y = np.zeros(100)
     y[:30] = 5.0
     tree = fit_tree(X, y, [NUMERIC])
-    assert predict_tree(tree, np.array([np.nan])) == pytest.approx(5.0)
-    assert predict_tree(tree, np.array([0.5])) == pytest.approx(0.0)
+    assert predict_tree(tree, np.array([[np.nan], [0.5]])) == pytest.approx([5.0, 0.0])
 
 
 def test_all_missing_row_deterministic():
@@ -70,7 +69,7 @@ def test_all_missing_row_deterministic():
     y = X[:, 0].copy()
     y[np.isnan(y)] = 0.0
     tree = fit_tree(X, y, [NUMERIC] * 3, TreeParams(min_samples_leaf=5))
-    row = np.array([np.nan, np.nan, np.nan])
+    row = np.array([[np.nan, np.nan, np.nan]])
     first = predict_tree(tree, row)
     assert all(predict_tree(tree, row) == first for _ in range(5))
 
@@ -161,8 +160,7 @@ def test_unknown_category_routes_like_missing():
     codes = rng.integers(0, 3, size=300).astype(float)
     y = codes * 2.0 + rng.normal(scale=0.1, size=300)
     tree = fit_tree(codes[:, None], y, [CATEGORICAL], TreeParams(min_samples_leaf=10))
-    unseen = predict_tree(tree, np.array([-1.0]))
-    missing = predict_tree(tree, np.array([np.nan]))
+    unseen, missing = predict_tree(tree, np.array([[-1.0], [np.nan]]))
     assert unseen == missing
 
 
@@ -204,8 +202,12 @@ def test_error_contracts():
         fit_tree(np.zeros((5, 1)), np.array([1.0, 2.0, np.inf, 0.0, 1.0]), [NUMERIC])
     with pytest.raises(ValueError):
         fit_tree(np.zeros((5, 2)), np.zeros(5), [NUMERIC])
-    with pytest.raises(ValueError):
-        predict_tree(fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC]), np.zeros((3, 4)))
+    stump = fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC])
+    for rows in (np.zeros((3, 4)), np.zeros(1), np.zeros((3, 1, 1)), 0.0):
+        with pytest.raises(ValueError, match="columns"):
+            predict_tree(stump, rows)
+        with pytest.raises(ValueError, match="columns"):
+            apply_tree(stump, rows)
     with pytest.raises(ValueError, match="leaf_out"):
         fit_tree(np.zeros((5, 1)), np.zeros(5), [NUMERIC], leaf_out=np.empty(4, dtype=np.intp))
 
