@@ -32,7 +32,7 @@ def main():
         sys.exit(f"{path} not found; run demos/fetch_uci.py first")
 
     rc = cli_main([
-        "eval", "--data", str(path),
+        "cv", "--data", str(path),
         "--folds", str(args.folds),
         "--threads", str(args.threads),
         "--samples", str(args.samples),

@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: ``train``, ``sample``, ``eval``, ``importance``, ``schedule``,
-``toy``.  Configuration comes from defaults, then an optional flat
-``key=value`` config file, then explicit flags, in that order; every command
-echoes its effective configuration to stderr before doing work.  Logs go to
-stderr, data products to stdout or files.  Exit codes: 0 success, 1 usage
-error (a size that does not fit in memory among them), 2 data error, 3
-internal error.
+Subcommands: ``train``, ``sample``, ``eval`` (score one saved model), ``cv``
+(retrain and score across folds), ``importance``, ``schedule``, ``toy``.
+Training settings come from defaults, then an optional flat ``key=value``
+config file, then explicit flags, in that order; every command echoes its
+effective configuration to stderr before doing work.  Logs go to stderr, data
+products to stdout or files.  Exit codes: 0 success, 1 usage error (a size
+that does not fit in memory among them), 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class _Setting(NamedTuple):
 
 _DBT, _MEAN = DbtConfig(), MeanEstimatorConfig()
 
-# The training settings of ``train`` and ``eval --folds``.  Each key is both a
-# flag (with ``--``) and a config-file key; the defaults are the library's.
+# The training settings of ``train`` and ``cv``.  Each key is both a flag
+# (with ``--``) and a config-file key; the defaults are the library's.
 _SETTINGS = {
     "model-kind": _Setting(str, DBT, (DBT, CARD_T)),
     "task": _Setting(str, _DBT.task, (REGRESSION, BINARY)),
@@ -211,14 +211,6 @@ def _eval_regression(truth, samples, bins):
             "qice": qice(truth, samples, bins)}
 
 
-def _eval_classification(model, truth, samples, alphas, threshold):
-    thr = threshold if threshold is not None else model.train_positive_rate
-    labels, probs = classify(samples, threshold=thr)
-    tt = {a: paired_t_test(probs, a).reject for a in alphas}
-    report = deferral_report(truth.astype(int), labels, piw(samples), tt)
-    return report, thr
-
-
 def _check_samples(task, s_count, bins):
     """Reject a sample count the task's metrics cannot score, before any work."""
     if s_count < (max(2, bins) if task == REGRESSION else 2):
@@ -239,56 +231,6 @@ def _run_fold(packed):
 def cmd_eval(args) -> int:
     if args.qice_bins < 1:
         raise _UsageError("--qice-bins must be >= 1")
-    if args.folds is not None:
-        cfg = _effective_config(args)
-        _echo_config("eval", {**cfg, "samples": args.samples, "folds": args.folds})
-        given = [k for k in ("model", "threshold", "alpha", "csv") if getattr(args, k) is not None]
-        if given:
-            raise _UsageError(f"--{given[0]} is a single-model flag; --folds retrains per fold")
-        if args.folds < 1 or args.threads is not None and args.threads < 1:
-            raise _UsageError("--folds and --threads must be >= 1")
-        s_count = 100 if args.samples is None else args.samples
-        _check_samples(cfg["task"], s_count, args.qice_bins)
-        if cfg["task"] != REGRESSION:
-            raise _UsageError("--folds mode currently evaluates regression metrics")
-        data = _training_data(args, cfg)
-        if args.folds > data.n_rows:
-            raise _UsageError(f"--folds {args.folds} is more than the {data.n_rows} rows "
-                              f"of {args.data}")
-        dbt_cfg, mean_cfg = _build_configs(cfg)
-        seed = cfg["seed"]
-        fraction = SplitSpec.train_fraction if args.train_fraction is None else args.train_fraction
-        jobs = [(data, SplitSpec(train_fraction=fraction, fold_seed=seed,
-                                 fold_index=i),
-                 cfg["model-kind"], dbt_cfg, mean_cfg, s_count, seed,
-                 args.qice_bins)
-                for i in range(args.folds)]
-        cpus = os.cpu_count() or 1
-        workers = min(args.threads or cpus, args.folds, cpus)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_fold, jobs))
-        else:
-            results = [_run_fold(j) for j in jobs]
-        with _out_stream(args.out) as fh:
-            fh.write("metric,mean,std,folds,summary\n")
-            for key in ("rmse", "nll", "qice"):
-                vals = np.array([r[key] for r in results])
-                std = vals.std(ddof=1) if len(vals) > 1 else float("nan")
-                fh.write(f"{key},{float(vals.mean())!r},{float(std)!r},{len(vals)},"
-                         f"{format_mean_std(vals)}\n")
-        return 0
-
-    if not args.model:
-        raise _UsageError("eval needs --model (or --folds for the retraining mode)")
-    given = [k for k in ("config", *_SETTINGS)
-             if k != "seed" and getattr(args, k.replace("-", "_")) is not None]
-    if given:
-        raise _UsageError(f"--{given[0]} is a training setting; eval --model takes only --seed")
-    given = [k for k in ("threads", "train-fraction")
-             if getattr(args, k.replace("-", "_")) is not None]
-    if given:
-        raise _UsageError(f"--{given[0]} is a --folds flag; eval --model retrains nothing")
     for flag, values in (("threshold", [args.threshold]), ("alpha", args.alpha or [])):
         bad = [v for v in values if v is not None and not 0.0 < v < 1.0]
         if bad:
@@ -296,11 +238,9 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     task = model.config.task
     s_count = (10 if task == BINARY else 100) if args.samples is None else args.samples
-    if task == REGRESSION:
-        given = [k for k in ("threshold", "alpha") if getattr(args, k) is not None]
-        if given:
-            raise _UsageError(f"--{given[0]} is a binary-model flag; {args.model} "
-                              f"is a regression model")
+    if task == REGRESSION and (args.threshold is not None or args.alpha):
+        flag = "--threshold" if args.threshold is not None else "--alpha"
+        raise _UsageError(f"{flag} is a binary-model flag; {args.model} is a regression model")
     _check_samples(task, s_count, args.qice_bins)
     seed = model.config.seed if args.seed is None else args.seed
     _echo_config("eval", {"model": args.model, "data": args.data, "samples": s_count,
@@ -312,22 +252,55 @@ def cmd_eval(args) -> int:
     samples = _sample_model(model, data, s_count, seed)
     with _out_stream(args.out) as fh:
         if task == BINARY:
-            report, thr = _eval_classification(model, data.y, samples,
-                                               args.alpha or [0.05, 0.005], args.threshold)
+            thr = model.train_positive_rate if args.threshold is None else args.threshold
+            labels, probs = classify(samples, threshold=thr)
+            tt = {a: paired_t_test(probs, a).reject for a in args.alpha or [0.05, 0.005]}
+            report = deferral_report(data.y.astype(int), labels, piw(samples), tt)
             print(f"[eval] vote threshold: {thr}", file=sys.stderr)
-            if args.csv:
-                fh.write(report.to_csv())
-            else:
-                fh.write(report.to_text() + "\n")
+            fh.write(report.to_csv() if args.csv else report.to_text() + "\n")
         else:
             vals = _eval_regression(data.y, samples, args.qice_bins)
             if args.csv:
                 fh.write("metric,value\n")
-                for k, v in vals.items():
-                    fh.write(f"{k},{float(v)!r}\n")
-            else:
-                for k, v in vals.items():
-                    fh.write(f"{k}: {v:.6g}\n")
+            for k, v in vals.items():
+                fh.write(f"{k},{float(v)!r}\n" if args.csv else f"{k}: {v:.6g}\n")
+    return 0
+
+
+def cmd_cv(args) -> int:
+    if args.qice_bins < 1:
+        raise _UsageError("--qice-bins must be >= 1")
+    cfg = _effective_config(args)
+    _echo_config("cv", {**cfg, "samples": args.samples, "folds": args.folds})
+    if args.folds < 1 or args.threads is not None and args.threads < 1:
+        raise _UsageError("--folds and --threads must be >= 1")
+    _check_samples(cfg["task"], args.samples, args.qice_bins)
+    if cfg["task"] != REGRESSION:
+        raise _UsageError("cv currently evaluates regression metrics")
+    data = _training_data(args, cfg)
+    if args.folds > data.n_rows:
+        raise _UsageError(f"--folds {args.folds} is more than the {data.n_rows} rows "
+                          f"of {args.data}")
+    dbt_cfg, mean_cfg = _build_configs(cfg)
+    seed = cfg["seed"]
+    jobs = [(data, SplitSpec(train_fraction=args.train_fraction, fold_seed=seed,
+                             fold_index=i),
+             cfg["model-kind"], dbt_cfg, mean_cfg, args.samples, seed, args.qice_bins)
+            for i in range(args.folds)]
+    cpus = os.cpu_count() or 1
+    workers = min(args.threads or cpus, args.folds, cpus)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_fold, jobs))
+    else:
+        results = [_run_fold(j) for j in jobs]
+    with _out_stream(args.out) as fh:
+        fh.write("metric,mean,std,folds,summary\n")
+        for key in ("rmse", "nll", "qice"):
+            vals = np.array([r[key] for r in results])
+            std = vals.std(ddof=1) if len(vals) > 1 else float("nan")
+            fh.write(f"{key},{float(vals.mean())!r},{float(std)!r},{len(vals)},"
+                     f"{format_mean_std(vals)}\n")
     return 0
 
 
@@ -388,6 +361,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):    # no prefixes: cv --model is not --model-kind
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):           # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise _UsageError(message)
@@ -397,6 +373,14 @@ def _add_train_flags(p):
     p.add_argument("--config", help="flat key=value config file of training settings")
     for key, setting in _SETTINGS.items():
         p.add_argument(f"--{key}", type=setting.type, choices=setting.choices or None)
+
+
+def _add_scoring_flags(p, samples_default):
+    p.add_argument("--data", required=True)
+    p.add_argument("--response", help="response column name (default: last)")
+    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--qice-bins", type=int, default=10)
+    p.add_argument("--out")
 
 
 def build_parser():
@@ -419,22 +403,24 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", help="evaluate a model, or retrain across folds")
-    _add_train_flags(p)
-    p.add_argument("--model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--response")
-    p.add_argument("--samples", type=int)
+    p = sub.add_parser("eval", help="score one saved model on a table")
+    p.add_argument("--model", required=True)
+    _add_scoring_flags(p, samples_default=None)
+    p.add_argument("--seed", type=int, help="sampling seed (default: the model's)")
     p.add_argument("--alpha", type=float, action="append",
                    help="t-test significance level (repeatable)")
-    p.add_argument("--qice-bins", type=int, default=10)
     p.add_argument("--threshold", type=float, help="vote threshold override")
-    p.add_argument("--folds", type=int, help="retrain across this many folds")
-    p.add_argument("--train-fraction", type=float, help="--folds only (default: 0.9)")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--csv", action="store_true", default=None, help="emit CSV instead of text")
-    p.add_argument("--out")
+    p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("cv", help="retrain and score a model across folds")
+    _add_train_flags(p)
+    _add_scoring_flags(p, samples_default=100)
+    p.add_argument("--folds", type=int, required=True, help="retrain across this many folds")
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction,
+                   help="share of the rows each fold trains on (default: %(default)s)")
+    p.add_argument("--threads", type=int, help="worker processes (default: the CPU count)")
+    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("importance", help="per-timestep feature gains as CSV")
     p.add_argument("--model", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .tree import CATEGORICAL, NUMERIC
 __all__ = [
     "Column", "Dataset", "SplitSpec", "DataError",
     "load_csv", "save_csv", "make_split", "mcar_mask",
-    "toy_generate", "clf_toy_generate", "reencode",
+    "toy_generate", "clf_toy_generate", "reencode", "check_names",
     "TOY_SEGMENT_NOISE", "toy_a_segment_mean", "toy_b_boxes",
 ]
 
@@ -34,6 +35,15 @@ _MISSING_CELLS = ("", MISSING_SENTINEL)
 
 class DataError(ValueError):
     """Malformed or inconsistent tabular data."""
+
+
+def check_names(columns, response_name) -> None:
+    """Raise :class:`DataError` when a name repeats among the columns and the
+    response, which name matching (:func:`reencode`) could not tell apart."""
+    counts = Counter([c.name for c in columns] + [response_name])
+    repeated = [name for name, k in counts.items() if k > 1]
+    if repeated:
+        raise DataError(f"a repeated name among the columns and the response: {repeated[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class Dataset:
             raise DataError("feature matrix and response must align")
         if len(self.columns) != self.X.shape[1]:
             raise DataError("column metadata does not match feature count")
+        check_names(self.columns, self.response_name)
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 
@@ -87,7 +98,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise DataError("train_fraction must lie in (0, 1)")
+            raise ValueError(f"train_fraction {self.train_fraction!r} must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +197,14 @@ def save_csv(ds: Dataset, path) -> None:
     """Write the dataset as UTF-8 CSV plus a ``<path>.schema`` sidecar fixing
     kinds and dictionary order, so a reload reproduces the dataset exactly but
     for code -1 (a category unseen at encoding), which is written missing.  A
-    table that would not reload so (no rows, a repeated name, a non-finite
-    response or infinite feature cell, a category ``""`` or ``NA``, a code
-    that is not -1 or a category's index, a name or category that the
-    line-based sidecar would split) is a ``DataError``, and nothing is written."""
+    table that would not reload so (no rows, a non-finite response or infinite
+    feature cell, a category ``""`` or ``NA``, a code that is not -1 or a
+    category's index, a name or category that the line-based sidecar would
+    split) is a ``DataError``, and nothing is written.  A ``Dataset`` holds no
+    repeated name."""
     path = Path(path)
-    names = [c.name for c in ds.columns] + [ds.response_name]
-    if ds.n_rows == 0 or len(set(names)) < len(names):
-        raise DataError(f"{path}: cannot save a table with no rows or a repeated name")
+    if ds.n_rows == 0:
+        raise DataError(f"{path}: cannot save a table with no rows")
     if not np.isfinite(ds.y).all() or np.isinf(ds.X).any():
         raise DataError(f"{path}: cannot save an infinite cell or a response that is not finite")
     lines = [f"response={ds.response_name}"]
@@ -304,7 +315,7 @@ def mcar_mask(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Set each feature cell to missing independently with probability ``rate``.
     The response is never masked."""
     if not 0.0 <= rate < 1.0:
-        raise DataError("rate must lie in [0, 1)")
+        raise ValueError(f"rate {rate!r} must lie in [0, 1)")
     if rate == 0.0:
         return ds
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -348,7 +359,7 @@ def toy_generate(task: str, n: int, seed: int) -> Dataset:
     e: linear trend with noise scale growing linearly in the covariate.
     """
     if n < 1:
-        raise DataError("n must be >= 1")
+        raise ValueError(f"n {n} must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, ord(task[0])]))
     if task == "a":
         u = rng.uniform(0.0, 3.0, size=n)
@@ -395,7 +406,7 @@ def clf_toy_generate(n: int, seed: int, *, noisy_error: float = 0.25,
     attainable accuracy there is ``1 - noisy_error``.
     """
     if n < 2:
-        raise DataError("n must be >= 2")
+        raise ValueError(f"n {n} must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     noisy = rng.random(n) < _CLF_NOISY_FRACTION
     x0 = rng.uniform(0.0, 1.0, size=n) + noisy

@@ -39,7 +39,7 @@ from .boosting import (
     fit_mean_estimator,
     predict_mean,
 )
-from .data import Dataset, reencode
+from .data import Dataset, check_names, reencode
 from .schedule import (
     NoiseSchedule,
     build_linear_schedule,
@@ -122,6 +122,7 @@ class DbtModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.step_trees) != self.config.T:
             raise ValueError("need exactly one tree per timestep")
+        check_names(self.columns, self.response_name)
         # the task fixes which of the standardization and the positive rate a model holds
         std, rate = self.target_standardization, self.train_positive_rate
         if self.config.task == REGRESSION and (rate is not None or std is None or len(std) != 2

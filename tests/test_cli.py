@@ -114,7 +114,7 @@ def test_eval_regression_text_and_csv(toy_csv, tmp_path, capsys):
 
 
 def test_eval_multi_fold(toy_csv, capsys):
-    rc = main(["eval", "--data", toy_csv, "--folds", "2", "--samples", "15",
+    rc = main(["cv", "--data", toy_csv, "--folds", "2", "--samples", "15",
                "--train-fraction", "0.8", "--threads", "1", *TRAIN_FLAGS])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -241,7 +241,14 @@ def test_exit_codes(tmp_path, toy_csv):
     assert main(["nope"]) == 1                                    # unknown command
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "m.dbtm")]) == 2         # data error
-    assert main(["eval", "--data", toy_csv]) == 1                 # needs model/folds
+    assert main(["eval", "--data", toy_csv]) == 1                 # needs --model
+    assert main(["cv", "--data", toy_csv]) == 1                   # needs --folds
+    # a flag value out of its range is a usage error, not a data error
+    assert main(["toy", "--task", "a", "--n", "0", "--out", str(tmp_path / "t.csv")]) == 1
+    assert main(["train", "--data", toy_csv, "--mcar-rate", "1.5",
+                 "--out", str(tmp_path / "m.dbtm")]) == 1
+    assert main(["cv", "--data", toy_csv, "--folds", "2", "--train-fraction", "1.5",
+                 "--threads", "1"]) == 1
     junk = tmp_path / "junk.dbtm"
     junk.write_bytes(b"JUNKJUNKJUNKJUNK")
     assert main(["sample", "--model", str(junk), "--data", toy_csv]) == 2
@@ -303,6 +310,11 @@ def _rewrite_header(path, edit):
                  id="binary_without_positive_rate"),
     pytest.param("binary", lambda h: h.update(positive_rate=1.0), id="positive_rate_one"),
     pytest.param("binary", lambda h: h.update(positive_rate=0), id="positive_rate_zero"),
+    # two columns named x0 would feed the trees the wrong column
+    pytest.param("regression", lambda h: h["schema"]["columns"][1].update(name="x0"),
+                 id="repeated_column_name"),
+    pytest.param("regression", lambda h: h["schema"].update(response="x2"),
+                 id="response_named_as_a_column"),
     pytest.param("binary", lambda h: [h[k].update(loss="squared")
                                       for k in ("mean_config", "mean_estimator")],
                  id="binary_squared_mean_loss"),
@@ -339,7 +351,7 @@ def test_train_with_mcar_rate(toy_csv, tmp_path, capsys):
 
 
 def test_eval_multi_fold_card_t(toy_csv, capsys):
-    rc = main(["eval", "--data", toy_csv, "--folds", "2", "--samples", "10",
+    rc = main(["cv", "--data", toy_csv, "--folds", "2", "--samples", "10",
                "--model-kind", "card_t", "--threads", "1", *TRAIN_FLAGS])
     assert rc == 0
     assert "rmse," in capsys.readouterr().out
@@ -458,15 +470,15 @@ def test_eval_model_rejects_training_settings(toy_csv, tmp_path, capsys, extra, 
     ("train", "timesteps=ten"),
     ("train", "prior-mean=zeroo"),
     ("train", "num-leaves=1.5"),
-    ("eval", "samples=3"),
-    ("eval", "folds=2"),
+    ("cv", "samples=3"),
+    ("cv", "folds=2"),
 ])
 def test_bad_config_value_is_a_data_error(toy_csv, tmp_path, capsys, command, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# settings\nn-noise = 3\n{line}\n")
     out = tmp_path / "m.dbtm"
     argv = (["train", "--out", str(out)] if command == "train"
-            else ["eval", "--folds", "2", "--threads", "1"])
+            else ["cv", "--folds", "2", "--threads", "1"])
     assert main([*argv, "--data", toy_csv, "--config", str(cfg), *TRAIN_FLAGS]) == 2
     err = capsys.readouterr().err
     key = line.partition("=")[0]
@@ -596,7 +608,7 @@ def test_memory_error_without_text_prints_no_dangling_colon(toy_csv, capsys, mon
     def exhausted(*args):
         raise MemoryError()
     monkeypatch.setattr(cli, "make_split", exhausted)
-    rc = main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1", *_SMALL_FOLD_FLAGS])
+    rc = main(["cv", "--data", toy_csv, "--folds", "2", "--threads", "1", *_SMALL_FOLD_FLAGS])
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: not enough memory\n" in err
@@ -608,9 +620,25 @@ def test_memory_error_without_text_prints_no_dangling_colon(toy_csv, capsys, mon
                                         (["--alpha", "0.5"], "--alpha"),
                                         (["--csv"], "--csv")])
 def test_eval_folds_rejects_single_model_flags(toy_csv, capsys, extra, flag):
-    rc = main(["eval", "--data", toy_csv, "--folds", "2", *_SMALL_FOLD_FLAGS, *extra])
+    rc = main(["cv", "--data", toy_csv, "--folds", "2", *_SMALL_FOLD_FLAGS, *extra])
     assert rc == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--model", "m.dbtm", "--folds", "2"], "--folds"),
+    (["eval", "--model", "m.dbtm", "--timesteps", "9"], "--timesteps"),
+    (["eval", "--model", "m.dbtm", "--threads", "2"], "--threads"),
+    (["cv", "--folds", "2", "--model", "m.dbtm"], "--model"),     # not --model-kind
+    (["cv", "--folds", "2", "--csv"], "--csv"),
+    (["cv", "--folds", "2", "--threshold", "0.3"], "--threshold"),
+], ids=["eval-folds", "eval-timesteps", "eval-threads", "cv-model", "cv-csv", "cv-threshold"])
+def test_a_flag_of_the_other_mode_is_refused_before_any_file_is_read(tmp_path, capsys,
+                                                                    monkeypatch, argv, flag):
+    for name in ("load_csv", "load_model", "_read_config_file"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    assert main([*argv, "--data", str(tmp_path / "absent.csv")]) == 1
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class _RecordingPool:
@@ -638,7 +666,7 @@ def test_eval_folds_workers_are_capped(toy_csv, capsys, monkeypatch, threads, fo
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     _RecordingPool.made.clear()
     extra = [] if threads is None else ["--threads", str(threads)]
-    rc = main(["eval", "--data", toy_csv, "--folds", str(folds), *_SMALL_FOLD_FLAGS, *extra])
+    rc = main(["cv", "--data", toy_csv, "--folds", str(folds), *_SMALL_FOLD_FLAGS, *extra])
     if workers == "error":
         assert rc == 1 and "must be >= 1" in capsys.readouterr().err
         assert _RecordingPool.made == []
@@ -657,7 +685,7 @@ def test_eval_folds_train_fraction(toy_csv, monkeypatch, extra, fraction):
         return {"rmse": 1.0, "nll": 1.0, "qice": 1.0}
 
     monkeypatch.setattr(cli, "_run_fold", run_fold)
-    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+    assert main(["cv", "--data", toy_csv, "--folds", "2", "--threads", "1",
                  *_SMALL_FOLD_FLAGS, *extra]) == 0
     assert fractions == [fraction, fraction]
 
@@ -690,7 +718,7 @@ def test_qice_bins_below_one_is_a_usage_error(toy_csv, tmp_path, capsys, monkeyp
         monkeypatch.setattr(cli, name, _fail_if_called)
     capsys.readouterr()
     assert main(["eval", "--model", model_path, "--data", toy_csv, "--qice-bins", bins]) == 1
-    assert main(["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+    assert main(["cv", "--data", toy_csv, "--folds", "2", "--threads", "1",
                  *_SMALL_FOLD_FLAGS, "--qice-bins", bins]) == 1
     err = capsys.readouterr().err
     assert err.count("--qice-bins must be >= 1") == 2 and "internal error" not in err
@@ -710,7 +738,7 @@ def test_eval_checks_samples_before_training(toy_csv, clf_csv, tmp_path, capsys,
     monkeypatch.setattr(cli, "_sample_model", _fail_if_called)
     capsys.readouterr()
     flags = ["--samples", samples, "--qice-bins", bins]
-    assert main(["eval", "--data", data, "--folds", "2", "--threads", "1",
+    assert main(["cv", "--data", data, "--folds", "2", "--threads", "1",
                  *_SMALL_FOLD_FLAGS, "--task", task, *flags]) == 1
     assert main(["eval", "--model", model_path, "--data", data, *flags]) == 1
     err = capsys.readouterr().err
@@ -720,10 +748,10 @@ def test_eval_checks_samples_before_training(toy_csv, clf_csv, tmp_path, capsys,
 def test_eval_folds_binary_task_is_a_usage_error(tmp_path, capsys, monkeypatch):
     for name in ("load_csv", "_train_one"):
         monkeypatch.setattr(cli, name, _fail_if_called)
-    rc = main(["eval", "--data", str(tmp_path / "absent.csv"), "--folds", "2", "--threads", "1",
+    rc = main(["cv", "--data", str(tmp_path / "absent.csv"), "--folds", "2", "--threads", "1",
                *_SMALL_FOLD_FLAGS, "--task", "binary"])
     assert rc == 1
-    assert "error: --folds mode currently evaluates regression metrics" in \
+    assert "error: cv currently evaluates regression metrics" in \
         capsys.readouterr().err
 
 
@@ -731,7 +759,7 @@ def test_eval_without_model_or_folds_is_a_usage_error(toy_csv, capsys, monkeypat
     for name in ("load_csv", "load_model"):
         monkeypatch.setattr(cli, name, _fail_if_called)
     assert main(["eval", "--data", toy_csv]) == 1
-    assert "error: eval needs --model" in capsys.readouterr().err
+    assert "error: the following arguments are required: --model" in capsys.readouterr().err
 
 
 # the address-space limit of the child process that runs one command
@@ -759,7 +787,7 @@ def _run_limited(argv):
 
 @pytest.mark.parametrize("command,size", [("sample", 10**12), ("sample", 10**8),
                                           ("train", 10**9), ("toy", 10**12),
-                                          ("eval", 10**12)])
+                                          ("cv", 10**12)])
 def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size):
     n = str(size)
     if command == "sample":
@@ -770,7 +798,7 @@ def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size)
     elif command == "toy":
         argv = ["toy", "--task", "a", "--n", n, "--out", str(tmp_path / "t.csv")]
     else:                                 # one worker: no process pool starts
-        argv = ["eval", "--data", toy_csv, "--folds", "2", "--threads", "1",
+        argv = ["cv", "--data", toy_csv, "--folds", "2", "--threads", "1",
                 *_SMALL_FOLD_FLAGS, "--samples", n]
     done = _run_limited(argv)
     assert done.returncode == 1, done.stderr
@@ -779,7 +807,23 @@ def test_oversized_size_flags_are_usage_errors(toy_csv, tmp_path, command, size)
 
 
 def test_eval_folds_above_row_count_is_a_usage_error(toy_csv):
-    done = _run_limited(["eval", "--data", toy_csv, "--folds", "1000000000", "--threads", "1",
+    done = _run_limited(["cv", "--data", toy_csv, "--folds", "1000000000", "--threads", "1",
                          *_SMALL_FOLD_FLAGS])
     assert done.returncode == 1, done.stderr
     assert "error: --folds 1000000000 is more than the 160 rows of" in done.stderr
+
+
+def test_readme_command_lines_parse():
+    # every ``diffboost ...`` line of the README's command-line examples is one
+    # the parser accepts, so a renamed or removed flag cannot linger in the docs
+    import re
+    import shlex
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", section, flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line.split("#", 1)[0].split(">", 1)[0])
+                for line in lines if line.startswith("diffboost ")]
+    assert {argv[1] for argv in commands} >= {"train", "sample", "eval", "cv"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

@@ -205,26 +205,42 @@ def test_save_csv_rejects_line_breaks_the_sidecar_would_split(tmp_path, where, b
 _CAT = (Column("c", CATEGORICAL, ("a", "b", "z")),)
 
 
-@pytest.mark.parametrize("ds,reason", [
-    (Dataset("t", (Column("c", CATEGORICAL, ("NA", "", "b")),),
-             np.array([[0.0], [1.0], [2.0]]), np.zeros(3)), "a category reads as missing"),
-    (Dataset("t", _CAT, np.array([[0.0], [3.0]]), np.zeros(2)), "not -1 or a category's index"),
-    (Dataset("t", _CAT, np.array([[0.0], [0.5]]), np.zeros(2)), "not -1 or a category's index"),
-    (Dataset("t", _CAT, np.array([[0.0], [-2.0]]), np.zeros(2)), "not -1 or a category's index"),
-    (Dataset("t", (Column("x", NUMERIC),), np.array([[1.0], [2.0], [np.inf]]), np.zeros(3)),
-     "an infinite cell"),
-    (Dataset("t", (Column("x", NUMERIC),), np.ones((3, 1)), np.array([1.0, 2.0, np.nan])),
+@pytest.mark.parametrize("make,reason", [
+    (lambda: Dataset("t", (Column("c", CATEGORICAL, ("NA", "", "b")),),
+                     np.array([[0.0], [1.0], [2.0]]), np.zeros(3)),
+     "a category reads as missing"),
+    (lambda: Dataset("t", _CAT, np.array([[0.0], [3.0]]), np.zeros(2)),
+     "not -1 or a category's index"),
+    (lambda: Dataset("t", _CAT, np.array([[0.0], [0.5]]), np.zeros(2)),
+     "not -1 or a category's index"),
+    (lambda: Dataset("t", _CAT, np.array([[0.0], [-2.0]]), np.zeros(2)),
+     "not -1 or a category's index"),
+    (lambda: Dataset("t", (Column("x", NUMERIC),), np.array([[1.0], [2.0], [np.inf]]),
+                     np.zeros(3)), "an infinite cell"),
+    (lambda: Dataset("t", (Column("x", NUMERIC),), np.ones((3, 1)),
+                     np.array([1.0, 2.0, np.nan])), "a response that is not finite"),
+    (lambda: Dataset("t", (Column("x", NUMERIC),), np.ones((2, 1)), np.array([1.0, -np.inf])),
      "a response that is not finite"),
-    (Dataset("t", (Column("x", NUMERIC),), np.ones((2, 1)), np.array([1.0, -np.inf])),
-     "a response that is not finite"),
-    (Dataset("t", (Column("y", NUMERIC),), np.ones((2, 1)), np.zeros(2)), "a repeated name"),
-    (Dataset("t", (Column("x", NUMERIC),), np.ones((0, 1)), np.zeros(0)), "no rows"),
+    # a table with a repeated name cannot be built, let alone saved
+    (lambda: Dataset("t", (Column("y", NUMERIC),), np.ones((2, 1)), np.zeros(2)),
+     "a repeated name"),
+    (lambda: Dataset("t", (Column("x", NUMERIC),), np.ones((0, 1)), np.zeros(0)), "no rows"),
 ], ids=["missing_category", "code_past_the_categories", "fractional_code", "code_below_-1",
         "infinite_feature", "nan_response", "infinite_response", "repeated_name", "no_rows"])
-def test_save_csv_refuses_a_table_that_would_not_reload(tmp_path, ds, reason):
+def test_save_csv_refuses_a_table_that_would_not_reload(tmp_path, make, reason):
     with pytest.raises(DataError, match=reason):
-        save_csv(ds, tmp_path / "t.csv")
+        save_csv(make(), tmp_path / "t.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("names,response", [(("a", "a"), "y"), (("a", "y"), "y")])
+def test_dataset_refuses_a_repeated_name(names, response):
+    # reencode matches columns by name, so two columns named a would read as one
+    columns = tuple(Column(n, NUMERIC) for n in names)
+    repeated = "a" if names == ("a", "a") else "y"
+    with pytest.raises(DataError, match=f"a repeated name .*: '{repeated}'"):
+        Dataset("t", columns, np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2),
+                response_name=response)
 
 
 def test_csv_files_are_utf8_whatever_the_locale(tmp_path):
@@ -368,14 +384,14 @@ def test_csv_round_trip_property(tmp_path_factory, parts):
     # load_csv and the reference reader both read back bit for bit, but for
     # code -1, which is written as a missing cell
     response, columns, X, y = parts
-    if any(cats is not None and len(set(cats)) < len(cats) for _, _, cats in columns):
+    names = [name for name, _, _ in columns] + [response]
+    if len(set(names)) < len(names) or any(
+            cats is not None and len(set(cats)) < len(cats) for _, _, cats in columns):
         with pytest.raises(DataError, match="repeated"):
             Dataset("t", tuple(Column(*c) for c in columns), X, y, response_name=response)
         return
     ds = Dataset("t", tuple(Column(*c) for c in columns), X, y, response_name=response)
-    names = [c.name for c in ds.columns] + [response]
-    refused = (len(y) == 0 or len(set(names)) < len(names) or not np.isfinite(y).all()
-               or np.isinf(X).any()
+    refused = (len(y) == 0 or not np.isfinite(y).all() or np.isinf(X).any()
                or any({"", "NA"} & set(c.categories or ()) for c in ds.columns))
     folder = tmp_path_factory.mktemp("rt")
     try:
